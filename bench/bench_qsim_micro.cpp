@@ -18,11 +18,11 @@
 #include <cstring>
 #include <numbers>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "common/thread_budget.h"
 #include "qsim/adjoint.h"
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
@@ -593,9 +593,9 @@ void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
                "  \"unit\": \"ms\",\n"
                "  \"description\": \"CircuitExecutor::run_batch (gate-fused)"
                " vs naive per-sample qsim::run loop\",\n"
-               "  \"hardware_threads\": %u,\n"
+               "  \"hardware_threads\": %d,\n"
                "  \"rows\": [\n",
-               std::thread::hardware_concurrency());
+               thread_budget::process_threads());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const AbRow& r = rows[i];
     std::fprintf(f,

@@ -5,19 +5,21 @@
 // A/B per client count (1, 4, --clients): the same request stream served
 // "serial" — one worker, max_batch = 1, i.e. the pre-serving status quo of
 // answering one request at a time — vs "micro-batched" — a worker per
-// hardware thread with max_batch = --max_batch, so concurrent requests
-// coalesce into shared tapes and shared CircuitExecutor::run_batch calls.
+// thread of the process budget (common/thread_budget.h) with max_batch =
+// --max_batch, so concurrent requests coalesce into shared tapes and
+// shared CircuitExecutor::run_batch calls.
 // Clients are synchronous (submit, block on the future, repeat): a single
 // client can never coalesce (its row measures pure queue overhead,
 // expected ~1.0x), N clients form batches up to N. Reported: p50/p99
 // request latency and aggregate throughput.
 //
-// The speedup is partly hardware-bound (more cores = more workers and more
-// parallel statevectors inside one batched run_batch call), so the JSON
-// carries hardware_threads and ci/bench_gate.py tiers the bar like the
-// train gate: the >= 2.0x requirement applies to >= 4-core runners; a
-// single-core container only sees the coalescing amortisation (shared
-// tape, shared dispatch; ~1.25x measured), which still clears a lower bar.
+// The speedup is partly hardware-bound (more cores = more workers, each
+// running its batches at a team of 1), so the JSON carries
+// hardware_threads (the process budget) and ci/bench_gate.py tiers the bar
+// like the train gate: the >= 2.0x requirement applies to >= 4-core
+// runners; a single-core container only sees the coalescing amortisation
+// (shared tape, shared dispatch; ~1.25x measured), which still clears a
+// lower bar.
 //
 // Two further A/B sections (this PR's front-end rework):
 //   * event_loop_ab — the epoll EventLoopServer vs a thread-per-connection
@@ -41,6 +43,7 @@
 #include "bench/bench_common.h"
 #include "common/mutex.h"
 #include "common/stopwatch.h"
+#include "common/thread_budget.h"
 #include "serve/event_loop.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -205,7 +208,7 @@ CacheRow run_cache_ab(serve::ModelRegistry& registry,
     serve::ServerStats stats;
     serve::ServeConfig cfg;
     cfg.max_batch = 16;
-    cfg.threads = 0;  // hardware concurrency
+    cfg.threads = 0;  // the process budget
     cfg.cache_bytes = cache_bytes;
     serve::InferenceService service(registry, cfg, &stats);
     for (int w = 0; w < 4; ++w) service.reconstruct(payloads[0], 0);
@@ -542,10 +545,10 @@ void write_json(const std::string& path, const std::vector<AbRow>& rows,
       "  \"description\": \"InferenceService throughput/latency: "
       "single-worker per-request dispatch vs multi-worker micro-batched "
       "dispatch, sq-ae digits model, synchronous clients\",\n"
-      "  \"hardware_threads\": %u,\n"
+      "  \"hardware_threads\": %d,\n"
       "  \"workers\": %d,\n"
       "  \"rows\": [\n",
-      std::thread::hardware_concurrency(), workers);
+      thread_budget::process_threads(), workers);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const AbRow& r = rows[i];
     std::fprintf(
@@ -649,8 +652,7 @@ int main(int argc, char** argv) {
       std::max(4, static_cast<int>(flags.get_int("clients")));
   const std::size_t max_batch =
       static_cast<std::size_t>(flags.get_int("max_batch"));
-  int workers = static_cast<int>(std::thread::hardware_concurrency());
-  if (workers <= 0) workers = 1;
+  const int workers = thread_budget::process_threads();
 
   serve::ServeConfig serial_cfg;
   serial_cfg.max_batch = 1;

@@ -17,15 +17,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
+#include "common/thread_budget.h"
 #include "data/digits.h"
 #include "models/checkpoint.h"
 #include "models/classical.h"
@@ -66,16 +62,6 @@ std::unique_ptr<models::Autoencoder> make_model(const std::string& name,
   return models::make_sq_ae(c, rng);
 }
 
-/// Caps the global OpenMP team size: the "serial" baseline rows must not
-/// silently profit from the executor's internal batch parallelism.
-void set_global_threads(int threads) {
-#ifdef _OPENMP
-  omp_set_num_threads(threads);
-#else
-  (void)threads;
-#endif
-}
-
 /// One full fit() under `config`; returns wall ms and the final parameters.
 double run_fit(const std::string& model_name, const Matrix& data,
                const models::TrainConfig& config, std::string* params_text) {
@@ -104,18 +90,20 @@ AbRow measure(const std::string& model_name, const Matrix& data,
   config.quantum_lr = 0.03;
   config.classical_lr = 0.01;
 
-  // Serial baseline: the legacy engine on one thread end to end (its
-  // executor batch loops would otherwise parallelise internally).
-  set_global_threads(1);
-  config.data_parallel = false;
-  row.serial_ms = run_fit(model_name, data, config, nullptr);
-
-  config.data_parallel = true;
-  config.num_threads = 1;
   std::string params_1t;
-  row.sharded_1t_ms = run_fit(model_name, data, config, &params_1t);
+  {
+    // Serial baseline: the legacy engine on one thread end to end (its
+    // executor batch loops would otherwise parallelise internally).
+    const thread_budget::Scope serial(1);
+    config.data_parallel = false;
+    row.serial_ms = run_fit(model_name, data, config, nullptr);
 
-  set_global_threads(threads);
+    config.data_parallel = true;
+    config.num_threads = 1;
+    row.sharded_1t_ms = run_fit(model_name, data, config, &params_1t);
+  }
+
+  const thread_budget::Scope sharded(threads);
   config.num_threads = threads;
   std::string params_nt;
   row.sharded_ms = run_fit(model_name, data, config, &params_nt);
@@ -137,9 +125,9 @@ void write_json(const std::string& path, const std::vector<AbRow>& rows) {
       "  \"unit\": \"ms\",\n"
       "  \"description\": \"Trainer epoch throughput: legacy serial "
       "per-batch loop vs data-parallel sharded engine (digits scenario)\",\n"
-      "  \"hardware_threads\": %u,\n"
+      "  \"hardware_threads\": %d,\n"
       "  \"rows\": [\n",
-      std::thread::hardware_concurrency());
+      thread_budget::process_threads());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const AbRow& r = rows[i];
     std::fprintf(

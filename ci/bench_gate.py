@@ -40,8 +40,9 @@ small containers:
     below.
   * serving dispatch A/B (rows with >= 4 clients): micro-batched
     throughput >= 2.0x over single-worker per-request dispatch on >= 4-core
-    runners — there batching buys both coalescing amortisation and
-    parallel workers / parallel statevectors inside run_batch. Below 4
+    runners — there batching buys both coalescing amortisation and one
+    parallel worker per thread of the process budget (each worker runs its
+    run_batch calls on one thread; src/common/thread_budget.h). Below 4
     cores only the coalescing amortisation remains (~1.2-1.4x checked in
     from a 1-core container), so the bar tiers down to >= 1.05x — batching
     must at minimum not regress throughput there. The

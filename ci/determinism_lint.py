@@ -23,6 +23,14 @@ compiler nor TSan can catch:
                    src/common/mutex.h. All locking in src/ goes through
                    the annotated sq::Mutex wrappers so the clang
                    -Wthread-safety CI lane sees every acquisition.
+  naked-parallelism
+                   omp_get_max_threads / omp_set_num_threads /
+                   omp_in_parallel / std::thread::hardware_concurrency
+                   outside src/common/thread_budget.{h,cpp}, and any
+                   `#pragma omp parallel` without a num_threads clause.
+                   Every team is sized from the calling thread's budget
+                   (src/common/thread_budget.h); a thread count read or
+                   set anywhere else reopens nested oversubscription.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
 line or the line directly above suppresses that rule for that line. The
@@ -47,6 +55,11 @@ import sys
 # std primitives (the thing naked-mutex exists to protect).
 NAKED_MUTEX_EXEMPT = ("src/common/mutex.h",)
 
+# src/common/thread_budget.{h,cpp} own the process thread count and every
+# team size (the thing naked-parallelism exists to protect).
+NAKED_PARALLELISM_EXEMPT = ("src/common/thread_budget.h",
+                            "src/common/thread_budget.cpp")
+
 ALLOW_RE = re.compile(r"//\s*lint-allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 BANNED_RANDOM_PATTERNS = [
@@ -66,6 +79,13 @@ NAKED_MUTEX_RE = re.compile(
     r"std::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock)\b")
+
+THREAD_COUNT_RE = re.compile(
+    r"\b(?:omp_get_max_threads|omp_set_num_threads|omp_in_parallel|"
+    r"hardware_concurrency)\b")
+
+OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
+NUM_THREADS_RE = re.compile(r"\bnum_threads\s*\(")
 
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
 
@@ -162,6 +182,8 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
     raw_lines = text.splitlines()
     stripped_lines = strip_comments_and_strings(text).splitlines()
     mutex_exempt = rel_path.replace("\\", "/") in NAKED_MUTEX_EXEMPT
+    parallelism_exempt = (rel_path.replace("\\", "/") in
+                          NAKED_PARALLELISM_EXEMPT)
 
     for lineno, line in enumerate(stripped_lines, start=1):
         def allowed(rule: str) -> bool:
@@ -180,6 +202,26 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
                        "use sq::Mutex/sq::MutexLock/sq::CondVar "
                        "(src/common/mutex.h) so -Wthread-safety sees "
                        "this lock")
+
+        if not parallelism_exempt and not allowed("naked-parallelism"):
+            m = THREAD_COUNT_RE.search(line)
+            if m:
+                yield ("naked-parallelism", lineno,
+                       f"{m.group(0)} decides parallelism outside the "
+                       "thread budget; use sqvae::thread_budget "
+                       "(src/common/thread_budget.h)")
+            elif OMP_PARALLEL_RE.match(line):
+                # A pragma may continue over backslash-ended lines.
+                pragma, k = line, lineno
+                while pragma.rstrip().endswith("\\") and \
+                        k < len(stripped_lines):
+                    pragma += stripped_lines[k]
+                    k += 1
+                if not NUM_THREADS_RE.search(pragma):
+                    yield ("naked-parallelism", lineno,
+                           "#pragma omp parallel without num_threads(...) "
+                           "opens a team of omp_get_max_threads(); size it "
+                           "from sqvae::thread_budget")
 
         for m in RANGE_FOR_RE.finditer(line):
             range_expr = m.group(2) or ""
@@ -289,6 +331,33 @@ SELF_TEST_CASES = [
      "void f() { for (const auto& [k, v] : table) use(k); }",
      None, set()),
     ("vector_ok", "for (auto& v : values) use(v);", {"entries_"}, set()),
+    ("omp_max_threads", "int n = omp_get_max_threads();", set(),
+     {"naked-parallelism"}),
+    ("omp_set_threads", "omp_set_num_threads(4);", set(),
+     {"naked-parallelism"}),
+    ("omp_in_parallel", "if (!omp_in_parallel()) go();", set(),
+     {"naked-parallelism"}),
+    ("hardware_concurrency",
+     "int n = std::thread::hardware_concurrency();", set(),
+     {"naked-parallelism"}),
+    ("pragma_no_num_threads",
+     "#pragma omp parallel for schedule(static)\nfor (;;) {}", set(),
+     {"naked-parallelism"}),
+    ("pragma_region_no_num_threads", "  #pragma omp parallel if (x)", set(),
+     {"naked-parallelism"}),
+    ("pragma_num_threads_ok",
+     "#pragma omp parallel for schedule(static) num_threads(team)", set(),
+     set()),
+    ("pragma_continued_ok",
+     "#pragma omp parallel for \\\n    num_threads(split.team)", set(),
+     set()),
+    ("pragma_for_ok", "#pragma omp for schedule(static)", set(), set()),
+    ("thread_count_in_comment", "// omp_get_max_threads() is banned", set(),
+     set()),
+    ("parallelism_allowed",
+     "int n = omp_get_max_threads();  "
+     "// lint-allow(naked-parallelism): reporting only",
+     set(), set()),
     ("init_for_ok", "for (int i = 0; i < n; ++i) use(i);", {"entries_"},
      set()),
 ]
@@ -306,18 +375,21 @@ def self_test() -> int:
             print(f"self-test FAIL {name}: expected {sorted(expected)}, "
                   f"got {sorted(got)}", file=sys.stderr)
             failures += 1
-    # The exemption path must hold for the wrapper header itself.
-    got = {rule for rule, _, _ in
-           check_file("src/common/mutex.h", "std::mutex mu_;", set())}
-    if got:
-        print(f"self-test FAIL mutex_h_exempt: got {sorted(got)}",
-              file=sys.stderr)
-        failures += 1
+    # The exemption paths must hold for the owning modules themselves.
+    for name, path, source in (
+            ("mutex_h_exempt", "src/common/mutex.h", "std::mutex mu_;"),
+            ("thread_budget_exempt", "src/common/thread_budget.cpp",
+             "const int n = omp_get_max_threads();")):
+        got = {rule for rule, _, _ in check_file(path, source, set())}
+        if got:
+            print(f"self-test FAIL {name}: got {sorted(got)}",
+                  file=sys.stderr)
+            failures += 1
     if failures:
         print(f"determinism_lint self-test: {failures} failure(s)",
               file=sys.stderr)
         return 2
-    print(f"determinism_lint self-test: {len(SELF_TEST_CASES) + 1} cases ok")
+    print(f"determinism_lint self-test: {len(SELF_TEST_CASES) + 2} cases ok")
     return 0
 
 

@@ -69,6 +69,7 @@
 
 #include "common/flags.h"
 #include "common/mutex.h"
+#include "common/thread_budget.h"
 #include "serve/event_loop.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -146,9 +147,11 @@ void serve_stream(serve::InferenceService& service, serve::ServerStats& stats,
         slot = std::move(slots.front());
         slots.pop_front();
       }
+      // Every counter moves before the response it counts is written: a
+      // client that read it and then asks for stats must see it counted.
       if (slot.immediate) {
-        out << slot.line << '\n';
         stats.responses_total.fetch_add(1, std::memory_order_relaxed);
+        out << slot.line << '\n';
       } else {
         // Blocking on the oldest future is correct: responses must be
         // emitted in request order anyway.
@@ -163,8 +166,8 @@ void serve_stream(serve::InferenceService& service, serve::ServerStats& stats,
                 .count();
         stats.latency.record_us(static_cast<std::uint64_t>(us));
         stats.endpoint[e].latency.record_us(static_cast<std::uint64_t>(us));
-        out << serve::format_response(slot.request, result) << '\n';
         stats.responses_total.fetch_add(1, std::memory_order_relaxed);
+        out << serve::format_response(slot.request, result) << '\n';
       }
       out.flush();
     }
@@ -318,7 +321,9 @@ int serve_process(const Flags& flags, const serve::ModelSpec& spec, int shard,
   config.max_batch = static_cast<std::size_t>(flags.get_int("max_batch"));
   config.max_batch_wait_us =
       static_cast<std::uint64_t>(flags.get_int("max_wait_us"));
-  config.threads = static_cast<int>(flags.get_int("threads"));
+  config.threads = thread_budget::shard_budget(
+      thread_budget::process_threads(), workers,
+      static_cast<int>(flags.get_int("threads")));
   config.max_queue = static_cast<std::size_t>(flags.get_int("max_queue"));
   const int port = static_cast<int>(flags.get_int("port"));
   config.shed_on_full = flags.get_bool("shed_queue") || port != 0;
@@ -389,13 +394,13 @@ int serve_process(const Flags& flags, const serve::ModelSpec& spec, int shard,
   if (stats_http != nullptr) stats_http->stop();
   std::fprintf(stderr,
                "sqvae_serve: shard %d: %llu request(s) in %llu batch(es), "
-               "%d worker(s), max_batch %zu, %llu cache hit(s), "
+               "%d worker(s) x team %d, max_batch %zu, %llu cache hit(s), "
                "%llu shed\n",
                shard,
                static_cast<unsigned long long>(
                    service.queue().total_requests()),
                static_cast<unsigned long long>(service.queue().total_batches()),
-               service.num_workers(), config.max_batch,
+               service.num_workers(), service.worker_team(), config.max_batch,
                static_cast<unsigned long long>(
                    stats.cache_hits.load(std::memory_order_relaxed)),
                static_cast<unsigned long long>(
@@ -429,7 +434,9 @@ int main(int argc, char** argv) {
   flags.add_int("max_wait_us", 0,
                 "micro-batch straggler wait in microseconds (0 = "
                 "opportunistic coalescing only)");
-  flags.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
+  flags.add_int("threads", 0,
+                "compute budget of each shard: one worker thread per unit, "
+                "each at a team of 1 (0 = process CPUs / --workers)");
   flags.add_int("max_queue", 1024,
                 "queued-request bound; submission blocks when full "
                 "(backpressure; 0 = unbounded)");

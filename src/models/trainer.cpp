@@ -11,11 +11,8 @@
 #include <unordered_map>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/stopwatch.h"
+#include "common/thread_budget.h"
 #include "data/dataset.h"
 #include "models/checkpoint.h"
 
@@ -115,15 +112,9 @@ int Trainer::resolve_threads(const Autoencoder& model,
   // Stochastic measurement backends advance a shared call counter per
   // estimate; concurrent forwards would race and break the determinism
   // contract, so those models run the sharded math serially.
-  if (model.stochastic_forward()) return 1;
-#ifdef _OPENMP
-  int threads = config.num_threads;
-  if (threads <= 0) threads = omp_get_max_threads();
-  return threads > 0 ? threads : 1;
-#else
-  (void)config;
-  return 1;
-#endif
+  if (!thread_budget::kOpenMP || model.stochastic_forward()) return 1;
+  return thread_budget::split(thread_budget::current(), config.num_threads)
+      .team;
 }
 
 std::vector<EpochStats> Trainer::fit(const Matrix& train, const Matrix* test,
@@ -200,8 +191,11 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
       epochs_since_improvement >= config_.early_stop_patience;
   if (already_stopped) start_epoch = config_.epochs;
 
-  // Only consumed by the omp pragma below; unused in OpenMP-less builds.
-  [[maybe_unused]] const int threads = resolve_threads(model_, config_);
+  // The sample team; each member runs the model at its share of the
+  // budget (a serial stochastic model keeps all of it for its trajectory
+  // loop).
+  const thread_budget::Split split = thread_budget::split(
+      thread_budget::current(), resolve_threads(model_, config_));
 
   std::vector<EpochStats> history;
   history.reserve(config_.epochs > start_epoch ? config_.epochs - start_epoch
@@ -226,10 +220,9 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
         // ---- sharded engine: one tape + private gradients per sample ----
         ShardedEpochState shared(batch_size, params.size());
         const std::int64_t n = static_cast<std::int64_t>(batch_size);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(threads)
-#endif
+#pragma omp parallel for schedule(static) num_threads(split.team)
         for (std::int64_t s = 0; s < n; ++s) {
+          const thread_budget::Scope member(split.member);
           const std::size_t row = indices[static_cast<std::size_t>(s)];
           Matrix sample(1, train.cols());
           train.copy_row(row, sample.data());

@@ -14,10 +14,13 @@
 //     (noise_seed, epoch, dataset row) — Rng::stream — and the per-sample
 //     gradients are reduced in fixed sample order after the parallel
 //     region. Both choices make the math independent of the thread count:
-//     training is bit-identical at 1 and N threads. Models whose quantum
-//     layers measure through a stochastic backend
-//     (Autoencoder::stochastic_forward) are automatically run at 1 thread,
-//     because those backends advance a shared call counter per estimate.
+//     training is bit-identical at 1 and N threads. The team takes the
+//     caller's thread budget (common/thread_budget.h) and each member
+//     runs its samples at budget / team. Models whose quantum layers
+//     measure through a stochastic backend
+//     (Autoencoder::stochastic_forward) automatically run a team of 1,
+//     because those backends advance a shared call counter per estimate;
+//     that one member keeps the whole budget for its trajectory loop.
 //
 //   * serial (data_parallel = false) — the legacy one-tape-per-batch loop,
 //     kept as the A/B baseline for bench_train_micro and for models that
@@ -70,9 +73,10 @@ struct TrainConfig {
   // ---- data-parallel engine --------------------------------------------
   /// False selects the legacy serial one-tape-per-batch loop.
   bool data_parallel = true;
-  /// OpenMP threads for the data-parallel engine: 0 = all available,
-  /// 1 = serial execution of the same sharded math. Results are identical
-  /// for every value.
+  /// Team size of the data-parallel engine: 0 = the caller's whole thread
+  /// budget (common/thread_budget.h), 1 = serial execution of the same
+  /// sharded math. Each member runs its samples at budget / team. Results
+  /// are identical for every value.
   int num_threads = 0;
   /// Base seed of the per-sample reparameterisation-noise streams used by
   /// the data-parallel engine (sample noise = Rng::stream(noise_seed,
@@ -141,8 +145,9 @@ class Trainer {
   /// parameters failed to load).
   bool best_restored() const { return best_restored_; }
 
-  /// Thread count the data-parallel engine actually uses for `model`
-  /// under `config` (1 for stochastic-backend models or OpenMP-less
+  /// Team size the data-parallel engine actually uses for `model` under
+  /// `config` and the calling thread's budget (1 for stochastic-backend
+  /// models, whose one member keeps the whole budget, or OpenMP-less
   /// builds). Exposed for benches and tests.
   static int resolve_threads(const Autoencoder& model,
                              const TrainConfig& config);

@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "qsim/kernels.h"
 
 namespace sqvae::qsim {
@@ -287,13 +288,13 @@ void run_trajectory_chunk(const TrajectorySample& sample,
                           std::vector<double>& rows, std::size_t row_size) {
   rows.resize(count * row_size);
   const std::int64_t n = static_cast<std::int64_t>(count);
-  // Workload-shape switch (mirrors CircuitExecutor::run_batch): large
-  // statevectors hand the team to the amplitude-parallel kernels instead
-  // of the per-trajectory loop.
-  const bool amp_par =
-      kernels::use_amplitude_parallel(sample.noiseless_final().dim());
-#pragma omp parallel if (!amp_par)
+  // Large statevectors hand the budget to the amplitude-parallel kernels
+  // instead of the per-trajectory loop (as CircuitExecutor::run_batch).
+  const thread_budget::Split split =
+      kernels::loop_split(sample.noiseless_final().dim());
+#pragma omp parallel num_threads(split.team)
   {
+    const thread_budget::Scope member(split.member);
     LazyFuser fuser(sample.noiseless_final().num_qubits());
     Statevector scratch(sample.noiseless_final().num_qubits());
 #pragma omp for schedule(static)
@@ -546,30 +547,33 @@ std::vector<std::vector<double>> shot_measurements(
   const std::size_t dim = std::size_t{1} << exec.num_qubits();
   std::vector<std::vector<double>> out(states.size());
   const std::int64_t batch = static_cast<std::int64_t>(states.size());
-  // Workload-shape switch: per-sample parallelism for small states; large
-  // states run the sample loop serially so the O(dim) CDF build inside can
-  // use the amplitude-parallel kernels.
-  const bool amp_par = kernels::use_amplitude_parallel(dim);
-#pragma omp parallel for schedule(static) if (!amp_par)
-  for (std::int64_t i = 0; i < batch; ++i) {
-    const std::size_t s = static_cast<std::size_t>(i);
-    // One private stream per sample: shots are drawn serially within the
-    // sample, so results do not depend on how samples map to threads.
-    sqvae::Rng rng(derive_seed(options.seed, call, s, 0));
-    const std::vector<double> cdf = cumulative_distribution(states[s]);
-    std::vector<double>& row = out[s];
-    row.assign(probabilities ? dim : n, 0.0);
-    for (std::size_t shot = 0; shot < options.shots; ++shot) {
-      const std::size_t outcome = sample_from_cdf(cdf, rng);
-      if (probabilities) {
-        row[outcome] += 1.0;
-      } else {
-        for (std::size_t q = 0; q < n; ++q) {
-          row[q] += (outcome & (std::size_t{1} << q)) ? -1.0 : 1.0;
+  // Per-sample parallelism for small states; large states run the sample
+  // loop on one thread so the O(dim) CDF build inside gets the budget.
+  const thread_budget::Split split = kernels::loop_split(dim);
+#pragma omp parallel num_threads(split.team)
+  {
+    const thread_budget::Scope member(split.member);
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < batch; ++i) {
+      const std::size_t s = static_cast<std::size_t>(i);
+      // One private stream per sample: shots are drawn serially within the
+      // sample, so results do not depend on how samples map to threads.
+      sqvae::Rng rng(derive_seed(options.seed, call, s, 0));
+      const std::vector<double> cdf = cumulative_distribution(states[s]);
+      std::vector<double>& row = out[s];
+      row.assign(probabilities ? dim : n, 0.0);
+      for (std::size_t shot = 0; shot < options.shots; ++shot) {
+        const std::size_t outcome = sample_from_cdf(cdf, rng);
+        if (probabilities) {
+          row[outcome] += 1.0;
+        } else {
+          for (std::size_t q = 0; q < n; ++q) {
+            row[q] += (outcome & (std::size_t{1} << q)) ? -1.0 : 1.0;
+          }
         }
       }
+      for (double& v : row) v /= static_cast<double>(options.shots);
     }
-    for (double& v : row) v /= static_cast<double>(options.shots);
   }
   return out;
 }

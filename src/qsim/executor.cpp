@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/thread_budget.h"
+
 namespace sqvae::qsim {
 
 namespace {
@@ -347,14 +349,15 @@ void CircuitExecutor::execute_blocked(const BoundPlan& bound, cplx* amps,
                                       std::size_t dim) const {
   const std::size_t bsz = std::size_t{1} << block_qubits_;
   const std::int64_t nblocks = static_cast<std::int64_t>(dim >> block_qubits_);
-  // One level of parallelism: across cache blocks when this state is big
-  // enough to own the team, serial blocks when a batch loop already does
-  // (an inactive `if` region keeps omp_in_parallel() false for callees).
-  const bool par = kernels::use_amplitude_parallel(dim);
+  // Across cache blocks on the caller's budget when this state is big
+  // enough to amplitude-parallelise (a member of a batch team at budget 1
+  // sweeps its blocks serially).
+  [[maybe_unused]] const int team =
+      kernels::use_amplitude_parallel(dim) ? thread_budget::current() : 1;
   const kernels::KernelTable& serial = kernels::active();
   for (const BlockGroup& g : groups_) {
     if (g.local) {
-#pragma omp parallel for schedule(static) if (par)
+#pragma omp parallel for schedule(static) num_threads(team)
       for (std::int64_t b = 0; b < nblocks; ++b) {
         const std::size_t off = static_cast<std::size_t>(b) << block_qubits_;
         // Sweep the resident block once per group: every local step hits
@@ -424,14 +427,11 @@ void CircuitExecutor::run_batch(
     std::vector<Statevector>& states) const {
   assert(params_batch.size() == states.size());
   const std::int64_t batch = static_cast<std::int64_t>(states.size());
-  // Workload-shape switch: when one state crosses the amplitude-parallel
-  // threshold, the team is better spent inside each state (blocked sweeps
-  // + parallel kernels) than across samples — the `if` clause makes this
-  // region inactive so execute() sees omp_in_parallel() == false.
-  const bool amp_par =
-      kernels::use_amplitude_parallel(std::size_t{1} << num_qubits_);
-#pragma omp parallel if (!amp_par)
+  const thread_budget::Split split =
+      kernels::loop_split(std::size_t{1} << num_qubits_);
+#pragma omp parallel num_threads(split.team)
   {
+    const thread_budget::Scope member(split.member);
     // One bind buffer per thread, reused across its samples.
     BoundPlan bound;
 #pragma omp for schedule(static)
@@ -452,12 +452,11 @@ std::vector<AdjointResult> CircuitExecutor::adjoint_batch(
   assert(params_batch.size() == diags.size());
   const std::int64_t batch = static_cast<std::int64_t>(params_batch.size());
   std::vector<AdjointResult> results(static_cast<std::size_t>(batch));
-  // Same workload-shape switch as run_batch(): amplitude-parallel inside
-  // each sample for large states, batch-parallel otherwise.
-  const bool amp_par =
-      kernels::use_amplitude_parallel(std::size_t{1} << num_qubits_);
-#pragma omp parallel if (!amp_par)
+  const thread_budget::Split split =
+      kernels::loop_split(std::size_t{1} << num_qubits_);
+#pragma omp parallel num_threads(split.team)
   {
+    const thread_budget::Scope member(split.member);
     BoundPlan bound;
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < batch; ++i) {

@@ -54,17 +54,19 @@
 //     identical sequence, so threading never changes result bits;
 //   * each group executes as one sweep over the blocks — every resident
 //     block has all the group's gates applied to it before eviction —
-//     OpenMP-parallel across blocks when the state crosses the
+//     OpenMP-parallel across blocks, on the calling thread's budget
+//     (common/thread_budget.h), when the state crosses the
 //     kernels::use_amplitude_parallel() threshold;
 //   * non-local (high-target) steps execute between groups over the full
 //     array via the amplitude-parallel kernel table, whose explicit
 //     pair-exchange path (KernelTable::apply_single_pairs / swap_runs /
 //     negate_run) splits the long contiguous partner runs across threads.
 //
-// Batch entry points pick ONE level of parallelism by workload shape: when
-// a single state crosses the amplitude-parallel threshold, the per-sample
-// OpenMP loop collapses to serial (`if` clause) and the team works inside
-// each state instead; small states keep the batch-parallel loop and the
+// Batch entry points split the calling thread's budget by workload shape
+// (kernels::loop_split): when a single state crosses the amplitude-
+// parallel threshold, the per-sample loop runs a team of 1 whose member
+// hands the whole budget to the kernels inside each state; small states
+// share the budget across samples, each member at budget / team on the
 // serial per-state fast path.
 #pragma once
 

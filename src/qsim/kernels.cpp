@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "common/thread_budget.h"
 
 namespace sqvae::qsim::kernels {
 
@@ -308,7 +306,8 @@ inline std::int64_t chunk_count(std::size_t n) {
 template <typename Fn>
 void for_chunks(std::size_t n, Fn fn) {
   const std::int64_t chunks = chunk_count(n);
-#pragma omp parallel for schedule(static)
+  [[maybe_unused]] const int team = thread_budget::current();
+#pragma omp parallel for schedule(static) num_threads(team)
   for (std::int64_t c = 0; c < chunks; ++c) {
     const std::size_t off = static_cast<std::size_t>(c) * kParallelChunk;
     const std::size_t len = n - off < kParallelChunk ? n - off : kParallelChunk;
@@ -329,7 +328,8 @@ void for_pair_runs(std::size_t n_units, std::size_t b1, std::size_t b2,
   const std::size_t step = kParallelChunk / 2;
   const std::int64_t chunks =
       static_cast<std::int64_t>((n_units + step - 1) / step);
-#pragma omp parallel for schedule(static)
+  [[maybe_unused]] const int team = thread_budget::current();
+#pragma omp parallel for schedule(static) num_threads(team)
   for (std::int64_t c = 0; c < chunks; ++c) {
     std::size_t p = static_cast<std::size_t>(c) * step;
     const std::size_t pe = n_units - p < step ? n_units : p + step;
@@ -351,7 +351,8 @@ void for_single_runs(std::size_t n_pairs, std::size_t stride, Fn fn) {
   const std::size_t step = kParallelChunk / 2;
   const std::int64_t chunks =
       static_cast<std::int64_t>((n_pairs + step - 1) / step);
-#pragma omp parallel for schedule(static)
+  [[maybe_unused]] const int team = thread_budget::current();
+#pragma omp parallel for schedule(static) num_threads(team)
   for (std::int64_t c = 0; c < chunks; ++c) {
     std::size_t p = static_cast<std::size_t>(c) * step;
     const std::size_t pe = n_pairs - p < step ? n_pairs : p + step;
@@ -625,16 +626,16 @@ void set_parallel_threshold(std::size_t threshold) {
 }
 
 bool use_amplitude_parallel(std::size_t n) {
-#ifdef _OPENMP
-  return n >= parallel_threshold() && !omp_in_parallel();
-#else
-  (void)n;
-  return false;
-#endif
+  return thread_budget::kOpenMP && n >= parallel_threshold();
 }
 
 const KernelTable& table_for(std::size_t n) {
   return use_amplitude_parallel(n) ? parallel_table() : active();
+}
+
+thread_budget::Split loop_split(std::size_t n) {
+  return thread_budget::split(thread_budget::current(),
+                              use_amplitude_parallel(n) ? 1 : 0);
 }
 
 const KernelTable& active() { return *dispatch().table; }

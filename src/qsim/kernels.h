@@ -56,9 +56,10 @@
 //
 // Thread-safety. All kernels are stateless and reentrant; concurrent calls
 // on disjoint amplitude ranges are race-free. The tables themselves are
-// immutable after first use. The parallel table must not be entered from
-// inside an OpenMP parallel region (nested parallelism); table_for()
-// enforces this via omp_in_parallel().
+// immutable after first use. The parallel table sizes its team from the
+// calling thread's budget (common/thread_budget.h), so it may be entered
+// from anywhere: a member of an enclosing team runs it at its share of
+// the budget — at budget 1, serially over the same chunks and bits.
 //
 // Adding a kernel. (1) Add the function pointer here; (2) implement the
 // scalar reference in kernels.cpp and append it to scalar_table() — this
@@ -76,6 +77,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/thread_budget.h"
 #include "qsim/types.h"
 
 namespace sqvae::qsim::kernels {
@@ -206,8 +208,9 @@ bool compiled_with_simd();
 // OpenMP the drivers degrade to a serial loop over the same chunks, keeping
 // the chunked reduction order — and therefore the bits — identical.
 
-/// The OpenMP-parallel table. Safe to call with any n >= 1; callers that
-/// want the size threshold and nested-parallelism guard use table_for().
+/// The OpenMP-parallel table; each call runs a team of the calling
+/// thread's budget. Safe to call with any n >= 1; callers that want the
+/// size threshold use table_for().
 const KernelTable& parallel_table();
 
 /// Amplitude count at/above which table_for() picks the parallel table.
@@ -221,13 +224,19 @@ std::size_t parallel_threshold();
 void set_parallel_threshold(std::size_t threshold);
 
 /// True when a kernel call on `n` amplitudes should amplitude-parallelise:
-/// n >= parallel_threshold(), OpenMP is compiled in, and the caller is not
-/// already inside an active parallel region (the batch loops own the team
-/// then — one level of parallelism, chosen by workload shape).
+/// OpenMP is compiled in and n >= parallel_threshold(). Depends on the
+/// size only — never on the thread count — so the chunked reductions are
+/// picked by the same rule at every budget. The batch loops use it to hand
+/// their whole budget to the state instead of splitting it over samples.
 bool use_amplitude_parallel(std::size_t n);
 
 /// parallel_table() when use_amplitude_parallel(n), else active().
 const KernelTable& table_for(std::size_t n);
+
+/// How a loop over states of `n` amplitudes splits the calling thread's
+/// budget: a state that amplitude-parallelises gets all of it (a team of
+/// 1), smaller states share it (one member per budget thread, each at 1).
+thread_budget::Split loop_split(std::size_t n);
 
 /// Convenience wrapper: builds the run's table into thread-local scratch
 /// and applies it in one pass via the size-appropriate kernel table.

@@ -10,8 +10,8 @@
 // startup, so every caller — interpreter, executor, adjoint sweep,
 // stochastic backends — runs the same vectorised code. States at or above
 // kernels::parallel_threshold() amplitudes additionally route through the
-// OpenMP amplitude-parallel table (kernels::table_for), unless the caller
-// is already inside a parallel batch loop.
+// OpenMP amplitude-parallel table (kernels::table_for), which runs on the
+// calling thread's budget (common/thread_budget.h).
 #pragma once
 
 #include <cstddef>

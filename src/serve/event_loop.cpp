@@ -202,10 +202,12 @@ struct EventLoopServer::Impl {
       if (conns.size() >= config.max_conns) {
         // Admission control: one overloaded line, then close. The socket
         // buffer is empty, so this tiny write cannot meaningfully block.
+        // Counted first: the client may read the line, see EOF and read
+        // the counter before this thread gets past close().
+        stats.connections_shed.fetch_add(1, std::memory_order_relaxed);
         (void)!::write(fd, kOverloadedConnLine,
                        std::strlen(kOverloadedConnLine));
         ::close(fd);
-        stats.connections_shed.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       const int one = 1;
@@ -226,14 +228,16 @@ struct EventLoopServer::Impl {
   }
 
   void teardown(Conn* conn, bool reset) {
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-    ::close(conn->fd);
-    conn->fd = -1;
+    // Counters move before the close makes the teardown visible to the
+    // peer.
     stats.connections_active.fetch_sub(1, std::memory_order_relaxed);
     stats.connections_closed.fetch_add(1, std::memory_order_relaxed);
     if (reset) {
       stats.connections_reset.fetch_add(1, std::memory_order_relaxed);
     }
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    ::close(conn->fd);
+    conn->fd = -1;
     // Late completions for this token are dropped on arrival.
     conns.erase(conn->token);
   }

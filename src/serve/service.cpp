@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/thread_budget.h"
 
 namespace sqvae::serve {
 
@@ -229,13 +230,11 @@ InferenceService::InferenceService(ModelRegistry& registry,
                  : nullptr),
       queue_(config.max_batch, config.max_batch_wait_us, config.max_queue,
              config.shed_on_full, stats) {
-  int threads = config.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
+  const thread_budget::Split pool = thread_budget::split(
+      config.threads > 0 ? config.threads : thread_budget::current(), 0);
+  worker_team_ = pool.member;
+  workers_.reserve(static_cast<std::size_t>(pool.team));
+  for (int t = 0; t < pool.team; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -342,6 +341,7 @@ InferenceResult InferenceService::latent_sample(std::uint64_t seed,
 }
 
 void InferenceService::worker_loop() {
+  const thread_budget::Scope member(worker_team_);
   std::unordered_map<std::string, Replica> cache;
   while (true) {
     std::vector<Request> batch = queue_.pop_batch();

@@ -59,7 +59,10 @@ struct ServeConfig {
   /// only; > 0 additionally holds sub-max_batch batches open for this long
   /// after the oldest request's arrival — for open-loop/pipelined clients.
   std::uint64_t max_batch_wait_us = 0;
-  /// Worker threads; 0 = hardware concurrency.
+  /// Compute budget of the pool: one worker per thread, each running its
+  /// batches at a budget of 1 (common/thread_budget.h) — served circuits
+  /// parallelise across requests, not inside one state. 0 = the budget of
+  /// the thread constructing the service.
   int threads = 0;
   /// Queue-depth bound: submit() blocks once this many requests are
   /// queued, backpressuring producers so an unbounded pipelined client
@@ -137,6 +140,9 @@ class InferenceService {
 
   const ServeConfig& config() const { return config_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
+  /// Thread budget each worker runs its batches at (the OpenMP team size
+  /// a worker's batch loops may open).
+  int worker_team() const { return worker_team_; }
   /// Queue statistics (total_requests / total_batches expose the achieved
   /// coalescing ratio).
   const BatchQueue& queue() const { return queue_; }
@@ -162,6 +168,7 @@ class InferenceService {
   ServerStats* stats_;
   std::unique_ptr<ResponseCache> cache_;
   BatchQueue queue_;
+  int worker_team_ = 1;
   std::vector<std::thread> workers_;
   /// Serialises shutdown(): two concurrent callers must not both observe
   /// shut_down_ == false and race to join the same threads. Workers never

@@ -10,13 +10,10 @@
 // so every test is deterministic run-to-run.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "models/quantum_layer.h"
 #include "models/scalable_quantum.h"
 #include "models/trainer.h"
@@ -318,20 +315,14 @@ TEST(BackendDeterminism, SingleThreadMatchesParallelBitwise) {
     parallel_results.push_back(s.expectations_z(exec, params));
   }
 
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
   std::vector<std::vector<double>> serial_results;
   {
+    const thread_budget::Scope serial(1);
     TrajectoryBackend t(traj_opts);
     ShotSamplingBackend s(shot_opts);
     serial_results.push_back(t.expectations_z(exec, params));
     serial_results.push_back(s.expectations_z(exec, params));
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
 
   for (std::size_t k = 0; k < parallel_results.size(); ++k) {
     for (std::size_t q = 0; q < parallel_results[k].size(); ++q) {

@@ -17,11 +17,8 @@
 #include <numbers>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "qsim/circuit.h"
 #include "qsim/kernels.h"
 
@@ -247,20 +244,12 @@ TEST(BlockedExecutor, SerialAndParallelExecutionAreBitIdentical) {
   exec.run(params, serial);
 
   kernels::set_parallel_threshold(1);  // force amplitude-parallel
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
   for (const int t : {1, 2, 3, 4}) {
-    omp_set_num_threads(t);
+    const thread_budget::Scope budget(t);
     Statevector par = initial;
     exec.run(params, par);
     expect_states_bitwise(serial, par);
   }
-  omp_set_num_threads(saved_threads);
-#else
-  Statevector par = initial;
-  exec.run(params, par);
-  expect_states_bitwise(serial, par);
-#endif
 }
 
 TEST(BlockedExecutor, RunBatchAndAdjointMatchUnblockedPath) {

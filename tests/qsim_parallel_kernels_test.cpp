@@ -24,13 +24,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "qsim/gates.h"
 
 namespace sqvae::qsim {
@@ -46,31 +44,19 @@ constexpr int kThreadCounts[] = {1, 2, 3, 4};
 constexpr int kThreadCounts[] = {1};
 #endif
 
-/// Restores the global OpenMP thread count on scope exit.
+/// Pins the test thread's budget (common/thread_budget.h), which every
+/// parallel region sizes its team from, until the next set() or the end
+/// of the guard's scope.
 class ThreadCountGuard {
  public:
-  ThreadCountGuard() {
-#ifdef _OPENMP
-    saved_ = omp_get_max_threads();
-#endif
-  }
-  ~ThreadCountGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(saved_);
-#endif
+  void set(int threads) {
+    scope_.reset();
+    scope_.emplace(threads);
   }
 
  private:
-  [[maybe_unused]] int saved_ = 1;
+  std::optional<thread_budget::Scope> scope_;
 };
-
-void set_threads(int t) {
-#ifdef _OPENMP
-  omp_set_num_threads(t);
-#else
-  (void)t;
-#endif
-}
 
 std::vector<cplx> random_amps(int num_qubits, Rng& rng) {
   std::vector<cplx> amps(std::size_t{1} << num_qubits);
@@ -120,7 +106,7 @@ void check_gate_bitwise(const std::vector<cplx>& ref, Op op) {
   std::vector<cplx> expected = ref;
   op(serial(), expected);
   for (const int t : kThreadCounts) {
-    set_threads(t);
+    guard.set(t);
     std::vector<cplx> got = ref;
     op(par(), got);
     expect_amps_bitwise(expected, got);
@@ -230,7 +216,7 @@ TEST(ParallelKernels, ProbabilitiesBitwiseAtEveryThreadCount) {
     std::vector<double> expected(dim);
     serial().probabilities(amps.data(), dim, expected.data());
     for (const int t : kThreadCounts) {
-      set_threads(t);
+      guard.set(t);
       std::vector<double> got(dim);
       par().probabilities(amps.data(), dim, got.data());
       EXPECT_EQ(
@@ -249,7 +235,7 @@ TEST(ParallelKernels, ReductionsNearSerialAndBitwiseAcrossThreadCounts) {
     const std::vector<cplx> b = random_amps(n, rng);
 
     // One-thread parallel results are the fixed-order baseline.
-    set_threads(1);
+    guard.set(1);
     const cplx inner1 = par().inner(a.data(), b.data(), dim);
     const double norm1 = par().norm_squared(a.data(), dim);
     std::vector<double> z1;
@@ -268,7 +254,7 @@ TEST(ParallelKernels, ReductionsNearSerialAndBitwiseAcrossThreadCounts) {
 
     // Bit-identical at every thread count (block-ordered accumulation).
     for (const int t : kThreadCounts) {
-      set_threads(t);
+      guard.set(t);
       const cplx inner_t = par().inner(a.data(), b.data(), dim);
       EXPECT_EQ(std::memcmp(&inner1, &inner_t, sizeof(cplx)), 0)
           << "inner, n=" << n << " threads=" << t;
@@ -298,7 +284,7 @@ TEST(ParallelKernels, DiagObservableLambdaBitwiseValueFixedOrder) {
     const double value_serial = serial().apply_diag_observable(
         diag.data(), psi.data(), lambda_serial.data(), dim);
 
-    set_threads(1);
+    guard.set(1);
     std::vector<cplx> lambda1(dim);
     const double value1 = par().apply_diag_observable(
         diag.data(), psi.data(), lambda1.data(), dim);
@@ -307,7 +293,7 @@ TEST(ParallelKernels, DiagObservableLambdaBitwiseValueFixedOrder) {
     EXPECT_NEAR(value1, value_serial, kTol);
 
     for (const int t : kThreadCounts) {
-      set_threads(t);
+      guard.set(t);
       std::vector<cplx> lambda_t(dim);
       const double value_t = par().apply_diag_observable(
           diag.data(), psi.data(), lambda_t.data(), dim);
@@ -321,13 +307,16 @@ TEST(ParallelKernels, DiagObservableLambdaBitwiseValueFixedOrder) {
 TEST(ParallelKernels, TableForRespectsThresholdAndNesting) {
   const std::size_t saved = kernels::parallel_threshold();
   kernels::set_parallel_threshold(std::size_t{1} << 10);
-#ifdef _OPENMP
-  EXPECT_EQ(&kernels::table_for(std::size_t{1} << 12),
-            &kernels::parallel_table());
-#else
-  EXPECT_EQ(&kernels::table_for(std::size_t{1} << 12), &kernels::active());
-#endif
+  const kernels::KernelTable* large =
+      thread_budget::kOpenMP ? &kernels::parallel_table() : &kernels::active();
+  EXPECT_EQ(&kernels::table_for(std::size_t{1} << 12), large);
   EXPECT_EQ(&kernels::table_for(std::size_t{1} << 8), &kernels::active());
+  {
+    // The table depends on the size only: a nested team member at budget 1
+    // keeps the chunked table (and its reduction bits), run on one thread.
+    const thread_budget::Scope member(1);
+    EXPECT_EQ(&kernels::table_for(std::size_t{1} << 12), large);
+  }
   kernels::set_parallel_threshold(saved);
 }
 

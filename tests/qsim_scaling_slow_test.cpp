@@ -7,14 +7,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <numbers>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "qsim/circuit.h"
 #include "qsim/executor.h"
 #include "qsim/gates.h"
@@ -31,31 +29,19 @@ constexpr int kThreadCounts[] = {1, 2, 4};
 constexpr int kThreadCounts[] = {1};
 #endif
 
-/// Restores the global OpenMP thread count on scope exit.
+/// Pins the test thread's budget (common/thread_budget.h), which every
+/// parallel region sizes its team from, until the next set() or the end
+/// of the guard's scope.
 class ThreadCountGuard {
  public:
-  ThreadCountGuard() {
-#ifdef _OPENMP
-    saved_ = omp_get_max_threads();
-#endif
-  }
-  ~ThreadCountGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(saved_);
-#endif
+  void set(int threads) {
+    scope_.reset();
+    scope_.emplace(threads);
   }
 
  private:
-  [[maybe_unused]] int saved_ = 1;
+  std::optional<thread_budget::Scope> scope_;
 };
-
-void set_threads(int t) {
-#ifdef _OPENMP
-  omp_set_num_threads(t);
-#else
-  (void)t;
-#endif
-}
 
 /// Restores the amplitude-parallel threshold on scope exit.
 class ThresholdGuard {
@@ -118,20 +104,20 @@ TEST(ScalingSlow, ParallelKernelsBitwiseAtSeventeenAndEighteenQubits) {
     std::vector<cplx> expected = ref;
     apply_all(serial, expected);
     for (const int t : kThreadCounts) {
-      set_threads(t);
+      guard.set(t);
       std::vector<cplx> got = ref;
       apply_all(par, got);
       expect_amps_bitwise(expected, got);
     }
 
     // Reductions: fixed block-ordered accumulation is thread-invariant.
-    set_threads(1);
+    guard.set(1);
     const double norm1 = par.norm_squared(ref.data(), dim);
     const double z1 = par.expectation_z(ref.data(), dim, n - 1);
     EXPECT_NEAR(norm1, serial.norm_squared(ref.data(), dim), kTol);
     EXPECT_NEAR(z1, serial.expectation_z(ref.data(), dim, n - 1), kTol);
     for (const int t : kThreadCounts) {
-      set_threads(t);
+      guard.set(t);
       const double norm_t = par.norm_squared(ref.data(), dim);
       const double z_t = par.expectation_z(ref.data(), dim, n - 1);
       EXPECT_EQ(std::memcmp(&norm1, &norm_t, sizeof(double)), 0);
@@ -168,7 +154,7 @@ TEST(ScalingSlow, TwentyQubitFiveLayerCircuitEndToEnd) {
 
   kernels::set_parallel_threshold(1);  // amplitude-parallel
   for (const int t : kThreadCounts) {
-    set_threads(t);
+    tguard.set(t);
     const Statevector par = exec.run_from_zero(params);
     ASSERT_EQ(par.dim(), serial.dim());
     EXPECT_EQ(std::memcmp(par.amplitudes().data(),

@@ -4,10 +4,14 @@
 // (models::load_params_only).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/thread_budget.h"
 #include "models/checkpoint.h"
 #include "models/classical.h"
 #include "models/scalable_quantum.h"
@@ -303,10 +307,12 @@ TEST(InferenceService, BatchedEqualsSingleBitwise) {
     serve::ServeConfig config;
     config.threads = 1;
     config.max_batch = kWave;
+    // The straggler wait holds the first batch open until the whole wave
+    // has queued, so the wave coalesces however fast the worker runs (an
+    // idle worker coalescing opportunistically may take each request
+    // alone as it arrives).
+    config.max_batch_wait_us = 100000;
     serve::InferenceService service(registry, config);
-    // A throwaway request forces the worker's replica build, so the wave
-    // below queues while the worker is busy and coalesces behind it.
-    service.reconstruct(inputs[0], 0);
     std::vector<std::future<serve::InferenceResult>> futures;
     for (int i = 0; i < kWave; ++i) {
       futures.push_back(service.submit(
@@ -365,6 +371,60 @@ TEST(InferenceService, HotSwapTakesEffect) {
     EXPECT_EQ(after.values[i], expected(0, i));
   }
 }
+
+#ifdef __linux__
+/// Threads alive in this process right now.
+int live_threads() {
+  int n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// live_threads() once it holds still over three reads: a thread joined
+/// by an earlier test can linger in /proc/self/task for a moment after
+/// pthread_join returns.
+int settled_threads() {
+  int last = live_threads();
+  for (int same = 0, tries = 0; same < 3 && tries < 200; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const int n = live_threads();
+    same = n == last ? same + 1 : 0;
+    last = n;
+  }
+  return last;
+}
+
+TEST(InferenceService, DefaultPoolAddsOnlyItsWorkers) {
+  // The default pool splits the process budget into one worker per thread,
+  // each running its batches at a budget of 1: a burst of patched-circuit
+  // requests opens no OpenMP team, so the service's workers are the only
+  // threads it adds.
+  const serve::ModelSpec spec = small_sq_ae_spec();
+  std::string error;
+  auto model = serve::build_model(spec, &error);
+  ASSERT_NE(model, nullptr) << error;
+  serve::ModelRegistry registry;
+  registry.publish("default", serve::LoadedModel::from_model(spec, *model));
+
+  const int before = settled_threads();
+  serve::InferenceService service(registry, serve::ServeConfig{});
+  EXPECT_EQ(service.num_workers(), thread_budget::process_threads());
+  EXPECT_EQ(service.worker_team(), 1);
+  std::vector<std::future<serve::InferenceResult>> burst;
+  for (int i = 0; i < 256; ++i) {
+    burst.push_back(service.submit(
+        "default",
+        i % 2 == 0 ? serve::Endpoint::kReconstruct : serve::Endpoint::kEncode,
+        ramp(spec.input_dim, 0.5 + 0.01 * i), static_cast<std::uint64_t>(i)));
+  }
+  for (auto& f : burst) ASSERT_TRUE(f.get().ok);
+  EXPECT_EQ(settled_threads(), before + service.num_workers());
+}
+#endif  // __linux__
 
 // ---- protocol -------------------------------------------------------------
 

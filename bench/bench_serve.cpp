@@ -8,7 +8,7 @@
 // thread of the process budget (common/thread_budget.h) with max_batch =
 // --max_batch, so concurrent requests coalesce into shared tapes and
 // shared CircuitExecutor::run_batch calls.
-// Clients are synchronous (submit, block on the future, repeat): a single
+// Clients are synchronous (submit, wait for the result, repeat): a single
 // client can never coalesce (its row measures pure queue overhead,
 // expected ~1.0x), N clients form batches up to N. Reported: p50/p99
 // request latency and aggregate throughput.
@@ -49,6 +49,7 @@
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "serve/stats.h"
+#include "tests/serve_call.h"
 
 #ifdef __linux__
 #include <arpa/inet.h>
@@ -106,7 +107,10 @@ RunStats run_load(serve::ModelRegistry& registry, const serve::ServeConfig& cfg,
     std::vector<std::thread> warmers;
     for (int w = 0; w < std::max(cfg.threads, 2); ++w) {
       warmers.emplace_back([&] {
-        for (int i = 0; i < 8; ++i) service.reconstruct(payloads[0], 0);
+        for (int i = 0; i < 8; ++i) {
+          serve_call::call(service, serve::Endpoint::kReconstruct,
+                           payloads[0], 0);
+        }
       });
     }
     for (std::thread& t : warmers) t.join();
@@ -124,9 +128,10 @@ RunStats run_load(serve::ModelRegistry& registry, const serve::ServeConfig& cfg,
         const std::vector<double>& x =
             payloads[static_cast<std::size_t>(c + i) % payloads.size()];
         Stopwatch request;
-        const serve::InferenceResult result = service.reconstruct(
-            x, static_cast<std::uint64_t>(c) * 1000 +
-                   static_cast<std::uint64_t>(i));
+        const serve::InferenceResult result = serve_call::call(
+            service, serve::Endpoint::kReconstruct, x,
+            static_cast<std::uint64_t>(c) * 1000 +
+                static_cast<std::uint64_t>(i));
         mine.push_back(request.seconds() * 1e3);
         if (!result.ok) {
           std::fprintf(stderr, "request failed: %s\n", result.error.c_str());
@@ -211,7 +216,9 @@ CacheRow run_cache_ab(serve::ModelRegistry& registry,
     cfg.threads = 0;  // the process budget
     cfg.cache_bytes = cache_bytes;
     serve::InferenceService service(registry, cfg, &stats);
-    for (int w = 0; w < 4; ++w) service.reconstruct(payloads[0], 0);
+    for (int w = 0; w < 4; ++w) {
+      serve_call::call(service, serve::Endpoint::kReconstruct, payloads[0], 0);
+    }
 
     std::vector<std::thread> threads;
     Stopwatch wall;
@@ -222,11 +229,8 @@ CacheRow run_cache_ab(serve::ModelRegistry& registry,
           const auto& x = payloads[static_cast<std::size_t>(k) %
                                    payloads.size()];
           const std::uint64_t seed = static_cast<std::uint64_t>(k % seeds);
-          const serve::InferenceResult r =
-              service
-                  .submit("default", serve::Endpoint::kReconstruct,
-                          std::vector<double>(x), seed)
-                  .get();
+          const serve::InferenceResult r = serve_call::call(
+              service, serve::Endpoint::kReconstruct, x, seed);
           if (!r.ok) {
             std::fprintf(stderr, "cache A/B request failed: %s\n",
                          r.error.c_str());
@@ -343,10 +347,8 @@ class ThreadPerConnServer {
         std::string error;
         if (!serve::parse_request_line(line, &request, &error)) continue;
         const serve::InferenceResult result =
-            service_
-                .submit(request.model, request.endpoint,
-                        std::move(request.x), request.seed)
-                .get();
+            serve_call::call(service_, request.endpoint, std::move(request.x),
+                             request.seed, request.model);
         const std::string out = serve::format_response(request, result) + "\n";
         std::size_t off = 0;
         while (off < out.size()) {
@@ -479,7 +481,9 @@ std::vector<ElRow> run_event_loop_ab(serve::ModelRegistry& registry,
         serve::ServeConfig cfg;
         cfg.threads = 0;
         serve::InferenceService service(registry, cfg);
-        for (int w = 0; w < 4; ++w) service.encode(payload, 1);
+        for (int w = 0; w < 4; ++w) {
+          serve_call::call(service, serve::Endpoint::kEncode, payload, 1);
+        }
         ThreadPerConnServer server(service);
         if (!server.start()) std::exit(1);
         row.thread_rps = std::max(
@@ -494,7 +498,9 @@ std::vector<ElRow> run_event_loop_ab(serve::ModelRegistry& registry,
         cfg.threads = 0;
         cfg.shed_on_full = true;
         serve::InferenceService service(registry, cfg, &stats);
-        for (int w = 0; w < 4; ++w) service.encode(payload, 1);
+        for (int w = 0; w < 4; ++w) {
+          serve_call::call(service, serve::Endpoint::kEncode, payload, 1);
+        }
         serve::EventLoopConfig loop_cfg;
         serve::EventLoopServer server(service, loop_cfg, stats);
         std::string error;

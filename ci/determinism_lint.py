@@ -31,6 +31,13 @@ compiler nor TSan can catch:
                    Every team is sized from the calling thread's budget
                    (src/common/thread_budget.h); a thread count read or
                    set anywhere else reopens nested oversubscription.
+  future-api       #include <future>, std::future / std::shared_future /
+                   std::promise / std::packaged_task / std::async. Work is
+                   submitted through one API, InferenceService::submit_cb,
+                   whose callback runs on the worker that finished it (or
+                   inline); a future adds a second, blocking path and a
+                   heap-allocated shared state per request. Tests block
+                   through tests/serve_call.h instead.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
 line or the line directly above suppresses that rule for that line. The
@@ -85,6 +92,10 @@ THREAD_COUNT_RE = re.compile(
     r"hardware_concurrency)\b")
 
 OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
+
+FUTURE_API_RE = re.compile(
+    r"^\s*#\s*include\s*<future>|"
+    r"\bstd::(?:future|shared_future|promise|packaged_task|async)\b")
 NUM_THREADS_RE = re.compile(r"\bnum_threads\s*\(")
 
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
@@ -223,6 +234,12 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
                            "opens a team of omp_get_max_threads(); size it "
                            "from sqvae::thread_budget")
 
+        if FUTURE_API_RE.search(line) and not allowed("future-api"):
+            yield ("future-api", lineno,
+                   "submit work through InferenceService::submit_cb with a "
+                   "callback; futures add a second, blocking submission "
+                   "path")
+
         for m in RANGE_FOR_RE.finditer(line):
             range_expr = m.group(2) or ""
             if ":" not in range_expr:
@@ -360,6 +377,15 @@ SELF_TEST_CASES = [
      set(), set()),
     ("init_for_ok", "for (int i = 0; i < n; ++i) use(i);", {"entries_"},
      set()),
+    ("future_include", "#include <future>", set(), {"future-api"}),
+    ("std_future", "std::future<int> f = p.get_future();", set(),
+     {"future-api"}),
+    ("std_async", "auto f = std::async(work);", set(), {"future-api"}),
+    ("future_allowed",
+     "std::promise<int> p;  // lint-allow(future-api): adapter for a test",
+     set(), set()),
+    ("future_in_comment", "// no std::future here", set(), set()),
+    ("submit_cb_ok", "service.submit_cb(m, e, x, s, done);", set(), set()),
 ]
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serve smoke test (CI step; also runs locally): trains one epoch on the
 # digits scenario, checkpoints, pipes requests through the real
-# micro-batched sqvae_serve server, and diffs the output byte-for-byte
-# against --reference mode — which answers the same requests through
+# micro-batched sqvae_serve server (once from a file, once from a client
+# that writes 500 requests before reading), and diffs the output
+# byte-for-byte against --reference mode — which answers the same requests through
 # in-process Autoencoder calls (serve::execute_single) with no queue, no
 # workers, no batching. Identical bytes = the serving stack reproduced the
 # model's own output exactly, which is the subsystem's determinism
@@ -49,4 +50,46 @@ echo "== serve smoke: in-process reference =="
   < "$WORK/requests.jsonl" > "$WORK/reference.out"
 
 diff -u "$WORK/served.out" "$WORK/reference.out"
+
+# Piped run: a client that writes every request before reading any
+# response. The server must keep reading while its output pipe is full;
+# a server that stops reading deadlocks here, so the client runs under a
+# deadline.
+echo "== serve smoke: write-all-then-read client, 500 requests =="
+python3 - "$WORK/piped.jsonl" <<'EOF'
+import math
+import sys
+
+ops = ["reconstruct", "encode", "reconstruct", "decode"]
+with open(sys.argv[1], "w") as f:
+    for i in range(500):
+        op = ops[i % len(ops)]
+        n = 10 if op == "decode" else 64  # LSD(64, 2) = 10
+        x = [round(0.5 + 0.45 * math.sin(0.31 * j + 0.07 * i), 6)
+             for j in range(n)]
+        f.write('{"op": "%s", "id": %d, "seed": %d, "x": %s}\n'
+                % (op, i, 1000 + i, x))
+EOF
+timeout 60 python3 - "$WORK/piped.jsonl" "$WORK/piped.out" \
+  "$BUILD/sqvae_serve" $SERVE_FLAGS --max_batch=8 --threads=2 <<'EOF'
+import subprocess
+import sys
+
+requests, out_path, cmd = sys.argv[1], sys.argv[2], sys.argv[3:]
+with open(requests, "rb") as f:
+    data = f.read()
+server = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+server.stdin.write(data)  # every request first, reading nothing
+server.stdin.close()
+out = server.stdout.read()
+if server.wait() != 0:
+    sys.exit("sqvae_serve exited %d" % server.returncode)
+with open(out_path, "wb") as f:
+    f.write(out)
+EOF
+"$BUILD/sqvae_serve" $SERVE_FLAGS --reference \
+  < "$WORK/piped.jsonl" > "$WORK/piped.reference.out"
+diff -q "$WORK/piped.out" "$WORK/piped.reference.out"
+echo "piped run: $(wc -l < "$WORK/piped.out") responses," \
+  "$(wc -c < "$WORK/piped.out") bytes, byte-identical to the reference"
 echo "serve smoke passed: served output is byte-identical to the in-process reference"

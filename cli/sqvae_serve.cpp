@@ -11,16 +11,17 @@
 // exposition (multi-line, terminated by a "# EOF" line), which is also
 // what --stats_port serves over plain HTTP for scrapers.
 //
-// Transports:
-//   * stdin/stdout (default) — requests are submitted as they are read and
-//     responses printed in request order, so a fast piped client exercises
-//     real micro-batch coalescing;
+// Transports (both run lines through src/serve/frontend.h and answer in
+// request order):
+//   * stdin/stdout (default) — a reader thread submits requests while
+//     the main thread writes responses, so a piped client gets real
+//     micro-batch coalescing and may write everything before reading;
 //   * TCP (--port=N) — a single-threaded epoll event loop
-//     (src/serve/event_loop.h) owns every connection: non-blocking reads
-//     with incremental frame parsing, per-connection ordered responses,
-//     bounded output queues, --max_conns admission control, --idle_ms
-//     timeouts. Compute runs on the InferenceService worker pool, so
-//     concurrent connections still coalesce into shared micro-batches.
+//     (src/serve/event_loop.h) owns every connection: incremental frame
+//     parsing, bounded output queues, --max_conns admission control,
+//     --idle_ms timeouts, and a full queue sheds instead of blocking.
+//     Compute runs on the InferenceService worker pool, so concurrent
+//     connections still coalesce into shared micro-batches.
 //     SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish and
 //     flush in-flight responses, then exit 0. SIGHUP triggers a
 //     zero-downtime checkpoint rollout: the checkpoint file is re-loaded
@@ -52,25 +53,19 @@
 // Examples:
 //   sqvae_serve --checkpoint=run.ckpt --input_dim=64 < requests.jsonl
 //   sqvae_serve --checkpoint=run.ckpt --input_dim=64 --port=7071
-//       --cache_mb=64 --max_conns=5000 --shed_queue
+//       --cache_mb=64 --max_conns=5000
 //   sqvae_serve --checkpoint=run.ckpt --input_dim=64 --port=7071
 //       --workers=4 --stats_port=9100   # shards scrape at 9100..9103
 //   echo '{"op": "stats"}' | sqvae_serve --checkpoint=run.ckpt
-#include <chrono>
 #include <cstdio>
-#include <deque>
-#include <future>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/flags.h"
-#include "common/mutex.h"
 #include "common/thread_budget.h"
 #include "serve/event_loop.h"
+#include "serve/frontend.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -111,114 +106,6 @@ serve::ModelSpec spec_from_flags(const Flags& flags) {
   spec.sim.noise.gate_error = flags.get_double("gate_error");
   spec.sim.seed = static_cast<std::uint64_t>(flags.get_int("sim_seed"));
   return spec;
-}
-
-/// One response slot: either a pre-rendered line (parse failures and
-/// stats resolve immediately) or a pending future, kept in request order.
-struct Slot {
-  bool immediate = false;
-  std::string line;
-  serve::WireRequest request;
-  std::future<serve::InferenceResult> future;
-  std::chrono::steady_clock::time_point submitted{};
-};
-
-/// Serves one request stream in order (stdin/stdout mode). A
-/// reader/writer pair: the reader keeps submitting requests while earlier
-/// ones execute (so a fast pipelined client gets real micro-batch
-/// coalescing), and a dedicated writer thread emits responses in request
-/// order *as they resolve* — a closed-loop client that waits for each
-/// response before sending the next therefore always gets it, even while
-/// the reader is blocked on the next input line.
-void serve_stream(serve::InferenceService& service, serve::ServerStats& stats,
-                  std::istream& in, std::ostream& out) {
-  sq::Mutex mu;
-  sq::CondVar cv;
-  std::deque<Slot> slots;
-  bool done = false;
-
-  std::thread writer([&] {
-    while (true) {
-      Slot slot;
-      {
-        sq::MutexLock lock(mu);
-        while (!done && slots.empty()) cv.wait(mu);
-        if (slots.empty()) return;
-        slot = std::move(slots.front());
-        slots.pop_front();
-      }
-      // Every counter moves before the response it counts is written: a
-      // client that read it and then asks for stats must see it counted.
-      if (slot.immediate) {
-        stats.responses_total.fetch_add(1, std::memory_order_relaxed);
-        out << slot.line << '\n';
-      } else {
-        // Blocking on the oldest future is correct: responses must be
-        // emitted in request order anyway.
-        const serve::InferenceResult result = slot.future.get();
-        const int e = static_cast<int>(slot.request.endpoint);
-        if (!result.ok) {
-          stats.endpoint[e].errors.fetch_add(1, std::memory_order_relaxed);
-        }
-        const auto us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - slot.submitted)
-                .count();
-        stats.latency.record_us(static_cast<std::uint64_t>(us));
-        stats.endpoint[e].latency.record_us(static_cast<std::uint64_t>(us));
-        stats.responses_total.fetch_add(1, std::memory_order_relaxed);
-        out << serve::format_response(slot.request, result) << '\n';
-      }
-      out.flush();
-    }
-  });
-
-  std::string line;
-  while (std::getline(in, line)) {
-    serve::WireRequest request;
-    std::string error;
-    Slot slot;
-    if (!serve::parse_request_line(line, &request, &error)) {
-      if (error.empty()) continue;  // blank line
-      stats.requests_total.fetch_add(1, std::memory_order_relaxed);
-      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      slot.immediate = true;
-      slot.line = serve::format_parse_error(error);
-    } else if (request.is_stats) {
-      stats.requests_total.fetch_add(1, std::memory_order_relaxed);
-      slot.immediate = true;
-      slot.line =
-          request.stats_prometheus
-              ? serve::render_stats_prometheus(
-                    stats, service.queue().depth(),
-                    service.registry().generation(request.model), /*shard=*/0)
-              : serve::render_stats_response(
-                    stats, service.queue().depth(),
-                    service.registry().generation(request.model),
-                    request.has_id, request.id);
-    } else {
-      stats.requests_total.fetch_add(1, std::memory_order_relaxed);
-      stats.endpoint[static_cast<int>(request.endpoint)].requests.fetch_add(
-          1, std::memory_order_relaxed);
-      slot.submitted = std::chrono::steady_clock::now();
-      slot.future = service.submit(request.model, request.endpoint,
-                                   std::move(request.x), request.seed);
-      // x was just moved out, so the slot keeps only the small fields the
-      // response needs (op/id) — not a second copy of the payload.
-      slot.request = std::move(request);
-    }
-    {
-      sq::MutexLock lock(mu);
-      slots.push_back(std::move(slot));
-    }
-    cv.notify_one();
-  }
-  {
-    sq::MutexLock lock(mu);
-    done = true;
-  }
-  cv.notify_one();
-  writer.join();
 }
 
 /// --reference: answers each request in-process, no queue, no workers.
@@ -326,7 +213,7 @@ int serve_process(const Flags& flags, const serve::ModelSpec& spec, int shard,
       static_cast<int>(flags.get_int("threads")));
   config.max_queue = static_cast<std::size_t>(flags.get_int("max_queue"));
   const int port = static_cast<int>(flags.get_int("port"));
-  config.shed_on_full = flags.get_bool("shed_queue") || port != 0;
+  config.shed_on_full = port != 0;
   config.cache_bytes =
       static_cast<std::size_t>(flags.get_int("cache_mb")) << 20;
   serve::InferenceService service(registry, config, &stats);
@@ -387,7 +274,7 @@ int serve_process(const Flags& flags, const serve::ModelSpec& spec, int shard,
     };
     status = run_event_loop(service, stats, loop_config, shard, workers);
   } else {
-    serve_stream(service, stats, std::cin, std::cout);
+    serve::serve_stream(service, stats, /*in_fd=*/0, /*out_fd=*/1);
   }
 
   service.shutdown();
@@ -438,12 +325,8 @@ int main(int argc, char** argv) {
                 "compute budget of each shard: one worker thread per unit, "
                 "each at a team of 1 (0 = process CPUs / --workers)");
   flags.add_int("max_queue", 1024,
-                "queued-request bound; submission blocks when full "
-                "(backpressure; 0 = unbounded)");
-  flags.add_bool("shed_queue", false,
-                 "shed (fail fast with an overloaded error) instead of "
-                 "blocking when the queue is full; always on in TCP mode, "
-                 "where the event loop must never block");
+                "queued-request bound; when full, stdin mode blocks "
+                "(backpressure) and TCP mode sheds (0 = unbounded)");
   flags.add_int("cache_mb", 0,
                 "content-addressed response cache budget in MiB (0 = off)");
   flags.add_int("port", 0, "TCP port on 127.0.0.1 (0 = stdin/stdout mode)");

@@ -43,25 +43,17 @@ BatchQueue::BatchQueue(std::size_t max_batch, std::uint64_t max_wait_us,
       shed_on_full_(shed_on_full),
       stats_(stats) {}
 
-std::future<InferenceResult> BatchQueue::push(
-    std::string model, Endpoint endpoint, std::vector<double> input,
-    std::uint64_t seed, Priority priority,
-    std::function<void(const InferenceResult&)> on_done) {
+void BatchQueue::push(std::string model, Endpoint endpoint,
+                      std::vector<double> input, std::uint64_t seed,
+                      std::function<void(const InferenceResult&)> on_done) {
+  const bool high = endpoint == Endpoint::kEncode ||
+                    endpoint == Endpoint::kDecode;  // see the header
   Request request;
   request.model = std::move(model);
   request.endpoint = endpoint;
   request.input = std::move(input);
   request.seed = seed;
-  request.priority = priority;
   request.on_done = std::move(on_done);
-  std::future<InferenceResult> future = request.promise.get_future();
-
-  auto resolve_now = [&request](std::string error) {
-    InferenceResult result;
-    result.error = std::move(error);
-    if (request.on_done) request.on_done(result);
-    request.promise.set_value(std::move(result));
-  };
 
   {
     sq::MutexLock lock(mu_);
@@ -70,20 +62,18 @@ std::future<InferenceResult> BatchQueue::push(
       // (max_depth/4 extra, at least 1) so a backlog of expensive
       // normal-lane work can neither starve nor shed the cheap lane.
       const std::size_t limit =
-          priority == Priority::kHigh
-              ? max_depth_ + std::max<std::size_t>(1, max_depth_ / 4)
-              : max_depth_;
+          high ? max_depth_ + std::max<std::size_t>(1, max_depth_ / 4)
+               : max_depth_;
       if (shed_on_full_) {
         // Load shedding: never block the producer (the event loop's one
         // thread); reply overloaded immediately.
         if (!closed_ && depth_locked() >= limit) {
-          ++total_shed_;
           if (stats_ != nullptr) {
             stats_->requests_shed.fetch_add(1, std::memory_order_relaxed);
           }
           lock.unlock();
-          resolve_now("overloaded: queue full, request shed");
-          return future;
+          request.on_done(failure("overloaded: queue full, request shed"));
+          return;
         }
       } else {
         // Backpressure: block the producer until a worker makes room (or
@@ -93,19 +83,17 @@ std::future<InferenceResult> BatchQueue::push(
     }
     if (closed_) {
       lock.unlock();
-      resolve_now("service is shut down");
-      return future;
+      request.on_done(failure("service is shut down"));
+      return;
     }
     request.enqueued = std::chrono::steady_clock::now();
-    (priority == Priority::kHigh ? high_ : normal_)
-        .push_back(std::move(request));
+    (high ? high_ : normal_).push_back(std::move(request));
     ++total_requests_;
   }
   // notify_all, not notify_one: the woken worker may be one that is
   // holding a half-formed batch with a *different* key and will take
   // nothing, while an idle worker keeps sleeping.
   cv_.notify_all();
-  return future;
 }
 
 void BatchQueue::collect_matching(std::vector<Request>& batch) {
@@ -188,9 +176,5 @@ std::uint64_t BatchQueue::total_batches() const {
   return total_batches_;
 }
 
-std::uint64_t BatchQueue::total_shed() const {
-  sq::MutexLock lock(mu_);
-  return total_shed_;
-}
 
 }  // namespace sqvae::serve

@@ -34,24 +34,24 @@
 //     producer. Blocking backpressure is right for a pipe (stdin mode:
 //     the OS pipe buffer backpressures the writer), but an event loop
 //     must never block its only thread — it replies "overloaded" and
-//     stays responsive. Shed requests count in total_shed() (and the
-//     optional ServerStats' requests_shed).
-//   * Priority lane — pushes carry a Priority; workers drain the high
-//     lane first and high-priority pushes are admitted into a reserve
-//     beyond max_depth (max_depth/4 extra), so cheap interactive
-//     endpoints (encode/decode — one coalesced forward pass) are neither
-//     starved nor shed by a backlog of expensive reconstructs. Coalescing
-//     spans both lanes: a batch seeded from the high lane absorbs
-//     matching normal-lane requests too, so priority never *reduces*
-//     batching.
+//     stays responsive. Shed requests count in the optional
+//     ServerStats' requests_shed.
+//   * Priority lane — encode/decode (one cheap coalesced forward pass
+//     each) ride a high lane that workers drain first and that may use a
+//     reserve beyond max_depth (max_depth/4 extra), so they are neither
+//     starved nor shed by a backlog of expensive reconstructs and
+//     latent_samples (full passes, per-request noise for VAEs).
+//     Coalescing spans both lanes: a batch seeded from the high lane
+//     absorbs matching normal-lane requests too, so priority never
+//     *reduces* batching.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -75,11 +75,12 @@ struct InferenceResult {
   std::vector<double> values;  // latent or feature row
 };
 
-/// Queue lane of a request (see the admission-control notes above).
-enum class Priority {
-  kNormal,
-  kHigh,
-};
+/// A failed result carrying `error`.
+inline InferenceResult failure(std::string error) {
+  InferenceResult result;
+  result.error = std::move(error);
+  return result;
+}
 
 struct Request {
   std::string model;  // registry name
@@ -89,12 +90,8 @@ struct Request {
   /// noise, latent sampling, stochastic measurement streams) derives from
   /// this seed and nothing else — the serving determinism contract.
   std::uint64_t seed = 0;
-  Priority priority = Priority::kNormal;
-  std::promise<InferenceResult> promise;
-  /// Called (if set) by the executing worker with the result, right
-  /// before the promise is fulfilled — the callback seam event-driven
-  /// callers (the epoll loop, the response cache's owner path) use
-  /// instead of blocking on the future. Runs on the worker thread.
+  /// Called exactly once with the result: by the executing worker, or
+  /// inline by push() when the request is shed or the queue is closed.
   std::function<void(const InferenceResult&)> on_done;
   /// Set by push(); anchors the straggler-wait deadline.
   std::chrono::steady_clock::time_point enqueued{};
@@ -104,23 +101,20 @@ class BatchQueue {
  public:
   /// `max_depth` bounds the number of queued (not yet popped) requests.
   /// When full: with `shed_on_full` false (default), push() blocks —
-  /// natural backpressure for pipe producers; with it true, push() fails
-  /// the future immediately with an "overloaded" error (load shedding;
-  /// see the admission-control notes above). 0 = unbounded.
+  /// natural backpressure for pipe producers; with it true, push()
+  /// answers "overloaded" at once (load shedding; see the
+  /// admission-control notes above). 0 = unbounded.
   /// `stats` (optional) receives shed counts.
   BatchQueue(std::size_t max_batch, std::uint64_t max_wait_us,
              std::size_t max_depth = 0, bool shed_on_full = false,
              ServerStats* stats = nullptr);
 
-  /// Enqueues a request; the future resolves when a worker finishes it.
+  /// Enqueues a request; `on_done` receives its result (see Request).
   /// Blocks while the queue is at max_depth (unless shedding — see
-  /// above). High-priority requests may use the reserve beyond
-  /// max_depth. `on_done` (optional) is invoked by the worker with the
-  /// result just before the future resolves.
-  std::future<InferenceResult> push(
-      std::string model, Endpoint endpoint, std::vector<double> input,
-      std::uint64_t seed, Priority priority = Priority::kNormal,
-      std::function<void(const InferenceResult&)> on_done = nullptr)
+  /// above); the high lane may use its reserve beyond max_depth.
+  void push(std::string model, Endpoint endpoint, std::vector<double> input,
+            std::uint64_t seed,
+            std::function<void(const InferenceResult&)> on_done)
       EXCLUDES(mu_);
 
   /// Blocks until at least one request is available (or the queue closes),
@@ -128,7 +122,7 @@ class BatchQueue {
   /// An empty result means closed-and-drained: workers should exit.
   std::vector<Request> pop_batch() EXCLUDES(mu_);
 
-  /// Wakes all waiters; subsequent pushes fail the returned future.
+  /// Wakes all waiters; subsequent pushes answer "service is shut down".
   /// Already-queued requests still drain through pop_batch.
   void close() EXCLUDES(mu_);
 
@@ -138,7 +132,6 @@ class BatchQueue {
   // report).
   std::uint64_t total_requests() const EXCLUDES(mu_);
   std::uint64_t total_batches() const EXCLUDES(mu_);
-  std::uint64_t total_shed() const EXCLUDES(mu_);
 
  private:
   /// Moves every queued request matching (model, endpoint) of `batch[0]`
@@ -165,7 +158,6 @@ class BatchQueue {
   bool closed_ GUARDED_BY(mu_) = false;
   std::uint64_t total_requests_ GUARDED_BY(mu_) = 0;
   std::uint64_t total_batches_ GUARDED_BY(mu_) = 0;
-  std::uint64_t total_shed_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace sqvae::serve

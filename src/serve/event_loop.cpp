@@ -16,12 +16,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/mutex.h"
+#include "serve/frontend.h"
 #include "serve/protocol.h"
 
 namespace sqvae::serve {
@@ -45,26 +45,15 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// One response slot of a connection, in request order. Immediate
-/// responses (parse errors, /stats) are born ready; inference slots
-/// become ready when their worker completion arrives.
-struct Slot {
-  bool ready = false;
-  bool timed = false;  // record latency on completion (inference slots)
-  int endpoint = -1;   // per-endpoint latency attribution (timed slots)
-  std::string line;
-  Clock::time_point submitted{};
-};
-
 struct Conn {
   int fd = -1;
   std::uint64_t token = 0;
   std::string inbuf;
-  std::deque<Slot> slots;
-  /// Sequence number of slots.front(); slot seq i lives at index
-  /// i - base_seq. Completions address slots by (token, seq), which stays
-  /// stable while earlier slots are flushed away.
-  std::uint64_t base_seq = 0;
+  ResponseWindow window;
+  /// Posts replies to the loop thread by token: the connection may be
+  /// gone by the time a worker delivers.
+  Deliver deliver;
+  std::uint64_t next_seq = 0;  // of the next request line
   std::string outbuf;
   std::size_t out_off = 0;
   Clock::time_point last_activity{};
@@ -73,12 +62,14 @@ struct Conn {
   bool peer_half_closed = false;  // read EOF; flush, then close
   bool close_after_flush = false; // fatal protocol error; flush, then close
   bool paused = false;            // output backlog: input parsing paused
+
+  /// Requests whose responses have not been emitted yet.
+  bool pending() const { return window.emitted() != next_seq; }
 };
 
 struct Completion {
   std::uint64_t token = 0;
-  std::uint64_t seq = 0;
-  std::string line;
+  Reply reply;
 };
 
 }  // namespace
@@ -217,6 +208,14 @@ struct EventLoopServer::Impl {
       conn->fd = fd;
       conn->token = next_token++;
       conn->last_activity = Clock::now();
+      conn->deliver = [impl = this, token = conn->token](Reply reply) {
+        {
+          sq::MutexLock lock(impl->completions_mu);
+          impl->completions.push_back(Completion{token, std::move(reply)});
+        }
+        const std::uint64_t one = 1;
+        (void)!::write(impl->wake_fd, &one, sizeof(one));
+      };
       if (!add_fd(fd, conn->token, EPOLLIN | EPOLLRDHUP | EPOLLET)) {
         ::close(fd);
         continue;
@@ -268,7 +267,7 @@ struct EventLoopServer::Impl {
         // pending response; close now only if nothing is outstanding.
         conn->peer_half_closed = true;
         conn->input_closed = true;
-        if (conn->slots.empty() && conn->outbuf.size() == conn->out_off) {
+        if (!conn->pending() && conn->outbuf.size() == conn->out_off) {
           teardown(conn, /*reset=*/false);
           return false;
         }
@@ -282,116 +281,26 @@ struct EventLoopServer::Impl {
     }
   }
 
-  /// Carves complete lines out of the input buffer and dispatches them.
-  /// Returns false if the connection was torn down.
+  /// Dispatches the complete lines of the input buffer. Returns false if
+  /// the connection was torn down.
   bool process_inbuf(Conn* conn) {
-    std::size_t start = 0;
-    while (!conn->input_closed) {
-      const std::size_t nl = conn->inbuf.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = conn->inbuf.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = nl + 1;
-      handle_line(conn, line);
-      if (conn->paused) break;
-    }
-    conn->inbuf.erase(0, start);
-    if (!conn->input_closed && conn->inbuf.size() > config.max_line_bytes) {
+    if (conn->input_closed) return flush(conn);
+    handle_request_lines(service, stats, config.shard, &conn->inbuf,
+                         &conn->next_seq, conn->deliver);
+    if (conn->inbuf.size() > config.max_line_bytes) {
       // A frame larger than the cap can never complete: answer with one
-      // protocol error, then flush and close.
+      // protocol error after every earlier response, then close.
       stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      Slot slot;
-      slot.ready = true;
-      slot.line = format_parse_error("request line exceeds " +
-                                     std::to_string(config.max_line_bytes) +
-                                     " bytes");
-      conn->slots.push_back(std::move(slot));
+      conn->window.complete(
+          Reply{conn->next_seq++,
+                format_parse_error("request line exceeds " +
+                                   std::to_string(config.max_line_bytes) +
+                                   " bytes")});
       conn->inbuf.clear();
       conn->input_closed = true;
       conn->close_after_flush = true;
     }
     return flush(conn);
-  }
-
-  void handle_line(Conn* conn, const std::string& line) {
-    WireRequest request;
-    std::string error;
-    if (!parse_request_line(line, &request, &error)) {
-      if (error.empty()) return;  // blank line
-      stats.requests_total.fetch_add(1, std::memory_order_relaxed);
-      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      Slot slot;
-      slot.ready = true;
-      slot.line = format_parse_error(error);
-      conn->slots.push_back(std::move(slot));
-      return;
-    }
-    stats.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-    if (request.is_stats) {
-      Slot slot;
-      slot.ready = true;
-      slot.line =
-          request.stats_prometheus
-              ? render_stats_prometheus(
-                    stats, service.queue().depth(),
-                    service.registry().generation(request.model),
-                    config.shard)
-              : render_stats_response(
-                    stats, service.queue().depth(),
-                    service.registry().generation(request.model),
-                    request.has_id, request.id);
-      conn->slots.push_back(std::move(slot));
-      return;
-    }
-    stats.endpoint[static_cast<int>(request.endpoint)].requests.fetch_add(
-        1, std::memory_order_relaxed);
-
-    Slot slot;
-    slot.timed = true;
-    slot.endpoint = static_cast<int>(request.endpoint);
-    slot.submitted = Clock::now();
-    const std::uint64_t seq =
-        conn->base_seq + static_cast<std::uint64_t>(conn->slots.size());
-    conn->slots.push_back(std::move(slot));
-
-    // The completion callback runs on a worker thread (or inline for a
-    // cache hit): it renders the response — the wire request's op/id
-    // survive in the capture — posts it, and kicks the wake eventfd. It
-    // must not touch `conn`: the connection may be gone by then.
-    //
-    // The submit arguments are copied out *before* the callback is built:
-    // the callback takes the WireRequest by move (its op/model/id strings
-    // would otherwise be heap-copied per request), and evaluation order
-    // between a `std::move(request)` capture and sibling arguments
-    // reading `request.model` is unspecified.
-    const std::uint64_t token = conn->token;
-    const std::string model = request.model;
-    const Endpoint endpoint = request.endpoint;
-    const std::uint64_t seed = request.seed;
-    std::vector<double> payload = std::move(request.x);
-    request.x.clear();
-    Impl* impl = this;
-    auto on_done = [impl, token, seq, endpoint,
-                    request = std::move(request)](
-                       const InferenceResult& result) {
-      if (!result.ok) {
-        impl->stats.endpoint[static_cast<int>(endpoint)].errors.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      Completion completion;
-      completion.token = token;
-      completion.seq = seq;
-      completion.line = format_response(request, result);
-      {
-        sq::MutexLock lock(impl->completions_mu);
-        impl->completions.push_back(std::move(completion));
-      }
-      const std::uint64_t one = 1;
-      (void)!::write(impl->wake_fd, &one, sizeof(one));
-    };
-    service.submit_cb(model, endpoint, std::move(payload), seed,
-                      std::move(on_done));
   }
 
   /// Un-pauses a connection whose output backlog drained: parses frames
@@ -415,28 +324,11 @@ struct EventLoopServer::Impl {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
 
-  /// Moves the ready in-order slot prefix into the output buffer and
-  /// writes as much as the socket accepts. Returns false if the
-  /// connection was torn down.
+  /// Moves the window's ready prefix into the output buffer and writes
+  /// as much as the socket accepts. Returns false if the connection was
+  /// torn down.
   bool flush(Conn* conn) {
-    while (!conn->slots.empty() && conn->slots.front().ready) {
-      Slot& slot = conn->slots.front();
-      conn->outbuf += slot.line;
-      conn->outbuf += '\n';
-      stats.responses_total.fetch_add(1, std::memory_order_relaxed);
-      if (slot.timed) {
-        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            Clock::now() - slot.submitted)
-                            .count();
-        stats.latency.record_us(static_cast<std::uint64_t>(us));
-        if (slot.endpoint >= 0 && slot.endpoint < kStatsEndpoints) {
-          stats.endpoint[slot.endpoint].latency.record_us(
-              static_cast<std::uint64_t>(us));
-        }
-      }
-      conn->slots.pop_front();
-      ++conn->base_seq;
-    }
+    conn->window.take_ready(stats, &conn->outbuf);
 
     while (conn->out_off < conn->outbuf.size()) {
       const ssize_t n =
@@ -463,9 +355,8 @@ struct EventLoopServer::Impl {
       conn->outbuf.clear();
       conn->out_off = 0;
       arm_write(conn, false);
-      if (conn->close_after_flush ||
-          (conn->peer_half_closed && conn->slots.empty()) ||
-          (draining && conn->slots.empty())) {
+      if ((conn->close_after_flush || conn->peer_half_closed || draining) &&
+          !conn->pending()) {
         teardown(conn, /*reset=*/false);
         return false;
       }
@@ -494,12 +385,7 @@ struct EventLoopServer::Impl {
       const auto it = conns.find(completion.token);
       if (it == conns.end()) continue;  // connection died first: dropped
       Conn* conn = it->second.get();
-      const std::uint64_t idx = completion.seq - conn->base_seq;
-      if (idx >= conn->slots.size()) continue;  // defensive; cannot happen
-      Slot& slot =
-          conn->slots[static_cast<std::size_t>(idx)];
-      slot.ready = true;
-      slot.line = std::move(completion.line);
+      conn->window.complete(std::move(completion.reply));
       flush(conn);
     }
   }
@@ -540,7 +426,7 @@ struct EventLoopServer::Impl {
     for (const auto& [token, conn] : conns) {
       // Pending work counts as activity: a connection waiting on its
       // response is not idle.
-      if (conn->slots.empty() && conn->outbuf.size() == conn->out_off &&
+      if (!conn->pending() && conn->outbuf.size() == conn->out_off &&
           now - conn->last_activity > timeout) {
         victims.push_back(token);
       }
@@ -613,7 +499,7 @@ struct EventLoopServer::Impl {
         if (it == conns.end()) continue;  // closed earlier this batch
         Conn* conn = it->second.get();
         if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
-          const bool reset = !conn->slots.empty() ||
+          const bool reset = conn->pending() ||
                              conn->outbuf.size() != conn->out_off ||
                              (ev & EPOLLERR) != 0;
           teardown(conn, reset);

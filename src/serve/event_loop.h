@@ -1,22 +1,22 @@
 // EventLoopServer: non-blocking epoll front end for sqvae_serve.
 //
-// One thread owns every socket. The pre-PR TCP front end spawned a
-// detached reader/writer thread pair per connection, which caps a process
-// at a few hundred sockets (two stacks each, scheduler pressure, no
-// admission control). This loop replaces those threads with a single
-// epoll_wait dispatcher holding tens of thousands of connections, while
-// compute stays exactly where it was: the InferenceService worker pool.
+// One thread owns every socket. A reader/writer thread pair per
+// connection would cap a process at a few hundred sockets (two stacks
+// each, scheduler pressure, no admission control); a single epoll_wait
+// dispatcher holds tens of thousands of connections, while compute runs
+// on the InferenceService worker pool.
 //
 //   * Edge-triggered readiness (EPOLLET): every readable event drains the
 //     socket to EAGAIN into the connection's input buffer; frames (lines)
 //     are carved off incrementally, so a request split one byte per
 //     segment and ten requests coalesced into one segment both parse
 //     identically (tests feed both shapes).
-//   * Per-connection ordered response slots: each parsed request claims
-//     the next slot in arrival order; worker callbacks complete slots out
-//     of order (via a completion queue + eventfd wakeup), and the writer
-//     flushes only the ready in-order prefix — responses leave in request
-//     order per connection, same contract as the old thread pair.
+//   * Per-connection ordered responses: lines go through
+//     handle_request_lines and responses through the connection's
+//     ResponseWindow (frontend.h), the pieces the stdin transport shares.
+//     Replies arrive out of order on the loop thread (a completion queue
+//     + eventfd wakeup), and the writer flushes only the ready in-order
+//     prefix, so responses leave in request order per connection.
 //   * Bounded output queue: a connection whose unread responses exceed
 //     max_outbuf_bytes stops having its input parsed (TCP backpressures
 //     the sender) until the backlog drains — one slow reader cannot

@@ -1,5 +1,6 @@
 #include "serve/loaded_model.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -86,6 +87,15 @@ std::shared_ptr<const LoadedModel> LoadedModel::from_checkpoint_text(
       *error = "checkpoint does not match the model spec (or is corrupt)";
     }
     return nullptr;
+  }
+  // Checkpoints round-trip nan/inf on purpose (a diverged run stays
+  // inspectable), but serving one would answer NaN to every request.
+  for (const ad::Parameter* p : models::checkpoint_parameters(*model)) {
+    for (std::size_t i = 0; i < p->value.size(); ++i) {
+      if (std::isfinite(p->value[i])) continue;
+      if (error != nullptr) *error = "checkpoint has non-finite parameters";
+      return nullptr;
+    }
   }
   return from_model(spec, *model);
 }

@@ -39,10 +39,10 @@ struct WireRequest {
   bool has_id = false;
   std::uint64_t id = 0;
 
-  /// True for {"op": "stats"}: answered by the transport layer (event
-  /// loop or stdin driver) from its ServerStats, never enqueued.
+  /// True for {"op": "stats"}: answered by the line front end
+  /// (frontend.h) from its ServerStats, never enqueued.
   bool is_stats = false;
-  /// {"op": "stats", "format": "prometheus"}: the transport answers with
+  /// {"op": "stats", "format": "prometheus"}: the front end answers with
   /// the multi-line Prometheus text exposition instead of the one-line
   /// JSON object. The body's last line is "# EOF" — clients read up to
   /// it, since the line protocol's one-line framing does not apply.

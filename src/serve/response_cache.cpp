@@ -123,21 +123,6 @@ void ResponseCache::publish(const CacheKey& key,
   }
 }
 
-void ResponseCache::fail(const CacheKey& key, const std::string& error) {
-  std::vector<Waiter> waiters;
-  {
-    Shard& shard = shard_of(key);
-    sq::MutexLock lock(shard.mu);
-    waiters = take_waiters(shard, key);
-  }
-  InferenceResult result;
-  result.ok = false;
-  result.error = error;
-  for (const Waiter& w : waiters) {
-    if (w) w(result);
-  }
-}
-
 std::size_t ResponseCache::entries() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) {

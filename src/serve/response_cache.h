@@ -26,13 +26,14 @@
 //
 // In-flight deduplication: when N identical requests arrive while the
 // first is still computing, lookup_or_join makes request 1 the *owner*
-// (it must compute and then publish/fail) and parks requests 2..N as
+// (it must compute and then publish) and parks requests 2..N as
 // waiters on the in-flight entry; publish resolves every waiter with the
 // same InferenceResult — one computation, N bit-identical replies. A
 // waiter callback runs on the publishing thread, outside all cache locks.
 //
 // Only ok results are stored (errors are cheap to recompute and would
-// poison hot keys); both outcomes resolve waiters.
+// poison hot keys); both outcomes resolve waiters, so an owner that was
+// shed or refused by a closed queue publishes its error like any other.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +61,9 @@ class ResponseCache {
  public:
   enum class Lookup {
     kHit,     // *out filled with the cached response
-    kOwner,   // caller must compute, then publish() or fail()
+    kOwner,   // caller must compute, then publish()
     kJoined,  // an identical computation is in flight; the callback fires
-              // when it publishes or fails
+              // when it publishes
   };
 
   using Waiter = std::function<void(const InferenceResult&)>;
@@ -75,18 +76,13 @@ class ResponseCache {
                          ServerStats* stats = nullptr);
 
   /// One atomic step of the protocol above: hit fills `out`; owner must
-  /// later publish()/fail() the key exactly once; joined parks `waiter`.
+  /// later publish() the key exactly once; joined parks `waiter`.
   Lookup lookup_or_join(const CacheKey& key, InferenceResult* out,
                         Waiter waiter);
 
   /// Owner path: stores `result` (if ok and within budget) and resolves
   /// every waiter parked on `key` with it.
   void publish(const CacheKey& key, const InferenceResult& result);
-
-  /// Owner path when the computation never produced a result (e.g. the
-  /// request was shed after winning ownership): resolves waiters with the
-  /// error, stores nothing.
-  void fail(const CacheKey& key, const std::string& error);
 
   // ---- introspection ---------------------------------------------------
   std::size_t entries() const;

@@ -44,19 +44,6 @@ std::vector<double> latent_sample_row(std::size_t latent_dim,
   return z;
 }
 
-InferenceResult failure(std::string message) {
-  InferenceResult result;
-  result.error = std::move(message);
-  return result;
-}
-
-/// Resolves one request: the callback seam first (event loop / cache
-/// owners — see batch_queue.h), then the promise.
-void finish(Request& request, InferenceResult result) {
-  if (request.on_done) request.on_done(result);
-  request.promise.set_value(std::move(result));
-}
-
 /// Validates a request's payload against the model; returns an empty
 /// string when valid.
 std::string validate(const LoadedModel& loaded, Endpoint endpoint,
@@ -207,18 +194,6 @@ InferenceResult execute_single(const LoadedModel& loaded,
   return result;
 }
 
-Priority endpoint_priority(Endpoint endpoint) {
-  switch (endpoint) {
-    case Endpoint::kEncode:
-    case Endpoint::kDecode:
-      return Priority::kHigh;
-    case Endpoint::kReconstruct:
-    case Endpoint::kLatentSample:
-      return Priority::kNormal;
-  }
-  return Priority::kNormal;
-}
-
 InferenceService::InferenceService(ModelRegistry& registry,
                                    const ServeConfig& config,
                                    ServerStats* stats)
@@ -255,33 +230,11 @@ void InferenceService::shutdown() {
   }
 }
 
-std::future<InferenceResult> InferenceService::submit(const std::string& model,
-                                                      Endpoint endpoint,
-                                                      std::vector<double> input,
-                                                      std::uint64_t seed) {
-  if (cache_ == nullptr) {
-    return queue_.push(model, endpoint, std::move(input), seed,
-                       endpoint_priority(endpoint));
-  }
-  // Cached path: adapt the callback seam back to a future. The promise
-  // must be shared because the callback may outlive this frame (it fires
-  // on a worker thread).
-  auto promise = std::make_shared<std::promise<InferenceResult>>();
-  std::future<InferenceResult> future = promise->get_future();
-  submit_cb(model, endpoint, std::move(input), seed,
-            [promise](const InferenceResult& result) {
-              promise->set_value(result);
-            });
-  return future;
-}
-
 void InferenceService::submit_cb(
     const std::string& model, Endpoint endpoint, std::vector<double> input,
     std::uint64_t seed, std::function<void(const InferenceResult&)> done) {
-  const Priority priority = endpoint_priority(endpoint);
   if (cache_ == nullptr) {
-    queue_.push(model, endpoint, std::move(input), seed, priority,
-                std::move(done));
+    queue_.push(model, endpoint, std::move(input), seed, std::move(done));
     return;
   }
 
@@ -310,34 +263,11 @@ void InferenceService::submit_cb(
   // answer this request. Shed/closed failures also flow through publish,
   // so joined waiters never hang on an owner that was refused admission.
   ResponseCache* cache = cache_.get();
-  queue_.push(model, endpoint, std::move(input), seed, priority,
+  queue_.push(model, endpoint, std::move(input), seed,
               [cache, key, done](const InferenceResult& result) {
                 cache->publish(key, result);
                 done(result);
               });
-}
-
-InferenceResult InferenceService::encode(const std::vector<double>& x,
-                                         std::uint64_t seed,
-                                         const std::string& model) {
-  return submit(model, Endpoint::kEncode, x, seed).get();
-}
-
-InferenceResult InferenceService::decode(const std::vector<double>& z,
-                                         std::uint64_t seed,
-                                         const std::string& model) {
-  return submit(model, Endpoint::kDecode, z, seed).get();
-}
-
-InferenceResult InferenceService::reconstruct(const std::vector<double>& x,
-                                              std::uint64_t seed,
-                                              const std::string& model) {
-  return submit(model, Endpoint::kReconstruct, x, seed).get();
-}
-
-InferenceResult InferenceService::latent_sample(std::uint64_t seed,
-                                                const std::string& model) {
-  return submit(model, Endpoint::kLatentSample, {}, seed).get();
 }
 
 void InferenceService::worker_loop() {
@@ -357,7 +287,7 @@ void InferenceService::execute_batch(
   const ModelEntry entry = registry_.get(name);
   if (entry.model == nullptr) {
     for (Request& r : batch) {
-      finish(r, failure("unknown model: " + name));
+      r.on_done(failure("unknown model: " + name));
     }
     return;
   }
@@ -370,7 +300,7 @@ void InferenceService::execute_batch(
   }
   if (replica.model == nullptr) {
     for (Request& r : batch) {
-      finish(r, failure("internal error: replica build failed"));
+      r.on_done(failure("internal error: replica build failed"));
     }
     return;
   }
@@ -383,7 +313,7 @@ void InferenceService::execute_batch(
   for (Request& r : batch) {
     const std::string error = validate(loaded, endpoint, r.input);
     if (!error.empty()) {
-      finish(r, failure(error));
+      r.on_done(failure(error));
     } else {
       work.push_back(&r);
     }
@@ -398,7 +328,7 @@ void InferenceService::execute_batch(
       InferenceResult result;
       result.ok = true;
       result.values = std::move(rows[i]);
-      finish(*work[i], std::move(result));
+      work[i]->on_done(result);
     }
     return;
   }
@@ -406,8 +336,8 @@ void InferenceService::execute_batch(
   // Stochastic (or per-request-noise) work: the batch still amortised
   // queue/wakeup costs, but execution is per request by contract.
   for (Request* r : work) {
-    finish(*r,
-           execute_single(loaded, *replica.model, endpoint, r->input, r->seed));
+    r->on_done(
+        execute_single(loaded, *replica.model, endpoint, r->input, r->seed));
   }
 }
 

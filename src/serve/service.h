@@ -1,7 +1,8 @@
 // InferenceService: batched model serving with per-request determinism.
 //
 // Topology: callers submit single-sample requests (endpoint + payload +
-// seed) into a BatchQueue; a pool of worker threads pops micro-batches and
+// seed) through submit_cb, the one submission API, into a BatchQueue; a
+// pool of worker threads pops micro-batches and
 // executes them against private replicas of the ModelRegistry's current
 // LoadedModel generation. Replicas are cached per (worker, model name) and
 // rebuilt only when the registry's generation counter moves, so hot-
@@ -34,7 +35,7 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -64,7 +65,7 @@ struct ServeConfig {
   /// parallelise across requests, not inside one state. 0 = the budget of
   /// the thread constructing the service.
   int threads = 0;
-  /// Queue-depth bound: submit() blocks once this many requests are
+  /// Queue-depth bound: submit_cb() blocks once this many requests are
   /// queued, backpressuring producers so an unbounded pipelined client
   /// cannot balloon memory. 0 = unbounded.
   std::size_t max_queue = 1024;
@@ -77,12 +78,6 @@ struct ServeConfig {
   /// content-addressable — see response_cache.h.
   std::size_t cache_bytes = 0;
 };
-
-/// Queue lane of an endpoint: encode/decode are one cheap coalesced
-/// forward pass and ride the high-priority lane so a backlog of
-/// reconstructs cannot starve them; reconstruct/latent_sample (full
-/// passes, per-request noise for VAEs) ride the normal lane.
-Priority endpoint_priority(Endpoint endpoint);
 
 /// Reference implementation of one request — see the determinism contract
 /// above. `replica` must be a private (not concurrently used) replica of
@@ -103,42 +98,23 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// Asynchronous submission; the future resolves when a worker finishes
-  /// (or immediately: cache hit, shed, validation). Routed through the
-  /// response cache when one is configured.
-  std::future<InferenceResult> submit(const std::string& model,
-                                      Endpoint endpoint,
-                                      std::vector<double> input,
-                                      std::uint64_t seed);
-
-  /// Callback form of submit — the seam the epoll event loop uses: no
-  /// future, no blocking. `done` is invoked exactly once with the result:
-  /// inline (on the calling thread) for cache hits and immediate
-  /// failures, on a worker thread otherwise, and on the *owner's* worker
-  /// thread for requests that joined an in-flight duplicate. Callbacks
-  /// must be cheap and non-blocking — workers execute them on the hot
-  /// path.
+  /// Submits one request, routed through the response cache when one is
+  /// configured. `done` is invoked exactly once with the result: inline
+  /// (on the calling thread) for cache hits, sheds and a closed queue, on
+  /// a worker thread otherwise, and on the *owner's* worker thread for
+  /// requests that joined an in-flight duplicate. So no caller lock may
+  /// be held across this call, and callbacks must be cheap and
+  /// non-blocking — workers run them on the hot path. Blocks only while a
+  /// non-shedding queue is full (ServeConfig::max_queue).
   void submit_cb(const std::string& model, Endpoint endpoint,
                  std::vector<double> input, std::uint64_t seed,
                  std::function<void(const InferenceResult&)> done);
-
-  // ---- synchronous conveniences ----------------------------------------
-  InferenceResult encode(const std::vector<double>& x, std::uint64_t seed,
-                         const std::string& model = "default");
-  InferenceResult decode(const std::vector<double>& z, std::uint64_t seed,
-                         const std::string& model = "default");
-  InferenceResult reconstruct(const std::vector<double>& x,
-                              std::uint64_t seed,
-                              const std::string& model = "default");
-  InferenceResult latent_sample(std::uint64_t seed,
-                                const std::string& model = "default");
 
   /// Drains workers and rejects further submissions. Idempotent and safe
   /// against concurrent callers; also run by the destructor. Must not be
   /// called from a worker thread (it joins them).
   void shutdown() EXCLUDES(shutdown_mu_);
 
-  const ServeConfig& config() const { return config_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
   /// Thread budget each worker runs its batches at (the OpenMP team size
   /// a worker's batch loops may open).

@@ -10,10 +10,6 @@ namespace sqvae::serve {
 static_assert(static_cast<int>(Endpoint::kLatentSample) + 1 == kStatsEndpoints,
               "kStatsEndpoints must mirror the Endpoint enum");
 
-const char* stats_endpoint_name(int e) {
-  return endpoint_name(static_cast<Endpoint>(e));
-}
-
 double LatencyHistogram::percentile_us(double q) const {
   // Snapshot the buckets once; concurrent recording keeps each bucket
   // individually exact, so the estimate is a valid point-in-time view.
@@ -49,35 +45,98 @@ double LatencyHistogram::percentile_us(double q) const {
   return static_cast<double>(bucket_upper_us(kBuckets - 1));
 }
 
+namespace {
+
+/// What one rendering reads: the counters plus the two gauges sampled
+/// outside ServerStats.
+struct StatsInputs {
+  const ServerStats& stats;
+  std::uint64_t queue_depth;
+  std::uint64_t registry_generation;
+};
+
+/// One scalar metric, as both renderings name and read it.
+struct ScalarMetric {
+  const char* json_key;
+  const char* prometheus_name;
+  const char* type;  // Prometheus metric type
+  const char* help;
+  std::uint64_t (*value)(const StatsInputs&);
+};
+
+std::uint64_t load(const std::atomic<std::uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
+
+template <std::atomic<std::uint64_t> ServerStats::*kCounter>
+std::uint64_t counter(const StatsInputs& in) {
+  return load(in.stats.*kCounter);
+}
+
+using S = ServerStats;
+
+/// The scalar metrics of both renderings, in output order. The
+/// per-endpoint counters and the latency histograms follow them.
+constexpr ScalarMetric kScalarMetrics[] = {
+    {"connections_accepted", "sqvae_connections_accepted_total", "counter",
+     "Connections accepted by the event loop.",
+     counter<&S::connections_accepted>},
+    {"connections_active", "sqvae_connections_active", "gauge",
+     "Currently open connections.", counter<&S::connections_active>},
+    {"connections_closed", "sqvae_connections_closed_total", "counter",
+     "Connections closed.", counter<&S::connections_closed>},
+    {"connections_reset", "sqvae_connections_reset_total", "counter",
+     "Connections torn down because the peer died mid-stream.",
+     counter<&S::connections_reset>},
+    {"connections_shed", "sqvae_connections_shed_total", "counter",
+     "Connections refused by the --max_conns admission limit.",
+     counter<&S::connections_shed>},
+    {"connections_idle_closed", "sqvae_connections_idle_closed_total",
+     "counter", "Connections closed by the --idle_ms timeout.",
+     counter<&S::connections_idle_closed>},
+    {"requests_total", "sqvae_requests_total", "counter",
+     "Request lines received.", counter<&S::requests_total>},
+    {"responses_total", "sqvae_responses_total", "counter",
+     "Response lines sent.", counter<&S::responses_total>},
+    {"protocol_errors", "sqvae_protocol_errors_total", "counter",
+     "Request lines that failed to parse.", counter<&S::protocol_errors>},
+    {"requests_shed", "sqvae_requests_shed_total", "counter",
+     "Requests refused by queue load shedding.", counter<&S::requests_shed>},
+    {"cache_hits", "sqvae_cache_hits_total", "counter", "Response cache hits.",
+     counter<&S::cache_hits>},
+    {"cache_misses", "sqvae_cache_misses_total", "counter",
+     "Response cache misses.", counter<&S::cache_misses>},
+    {"cache_inflight_joined", "sqvae_cache_inflight_joined_total", "counter",
+     "Requests that joined an identical in-flight computation.",
+     counter<&S::cache_inflight_joined>},
+    {"cache_evictions", "sqvae_cache_evictions_total", "counter",
+     "Response cache evictions.", counter<&S::cache_evictions>},
+    {"cache_bytes", "sqvae_cache_bytes", "gauge",
+     "Response cache resident bytes.", counter<&S::cache_bytes>},
+    {"cache_entries", "sqvae_cache_entries", "gauge",
+     "Response cache resident entries.", counter<&S::cache_entries>},
+    {"queue_depth", "sqvae_queue_depth", "gauge",
+     "Batch queue depth at scrape time.",
+     [](const StatsInputs& in) { return in.queue_depth; }},
+    {"registry_generation", "sqvae_model_generation", "gauge",
+     "Registry generation of the default model (bumps on rollout).",
+     [](const StatsInputs& in) { return in.registry_generation; }},
+};
+
+}  // namespace
+
 std::string render_stats_response(const ServerStats& stats,
                                   std::uint64_t queue_depth,
                                   std::uint64_t registry_generation,
                                   bool has_id, std::uint64_t id) {
-  const auto v = [](const std::atomic<std::uint64_t>& a) {
-    return static_cast<unsigned long long>(a.load(std::memory_order_relaxed));
-  };
+  const StatsInputs in{stats, queue_depth, registry_generation};
   std::ostringstream os;
   os << "{\"ok\": true, ";
   if (has_id) os << "\"id\": " << id << ", ";
-  os << "\"op\": \"stats\", "
-     << "\"connections_accepted\": " << v(stats.connections_accepted)
-     << ", \"connections_active\": " << v(stats.connections_active)
-     << ", \"connections_closed\": " << v(stats.connections_closed)
-     << ", \"connections_reset\": " << v(stats.connections_reset)
-     << ", \"connections_shed\": " << v(stats.connections_shed)
-     << ", \"connections_idle_closed\": " << v(stats.connections_idle_closed)
-     << ", \"requests_total\": " << v(stats.requests_total)
-     << ", \"responses_total\": " << v(stats.responses_total)
-     << ", \"protocol_errors\": " << v(stats.protocol_errors)
-     << ", \"requests_shed\": " << v(stats.requests_shed)
-     << ", \"cache_hits\": " << v(stats.cache_hits)
-     << ", \"cache_misses\": " << v(stats.cache_misses)
-     << ", \"cache_inflight_joined\": " << v(stats.cache_inflight_joined)
-     << ", \"cache_evictions\": " << v(stats.cache_evictions)
-     << ", \"cache_bytes\": " << v(stats.cache_bytes)
-     << ", \"cache_entries\": " << v(stats.cache_entries)
-     << ", \"queue_depth\": " << queue_depth
-     << ", \"registry_generation\": " << registry_generation;
+  os << "\"op\": \"stats\"";
+  for (const ScalarMetric& m : kScalarMetrics) {
+    os << ", \"" << m.json_key << "\": " << m.value(in);
+  }
   // Percentiles are <= 2^40 so ~14 chars, but %.1f's worst case for an
   // arbitrary double is ~310 — size for the compiler's view of it.
   char buf[384];
@@ -90,9 +149,9 @@ std::string render_stats_response(const ServerStats& stats,
   os << buf;
   for (int e = 0; e < kStatsEndpoints; ++e) {
     const EndpointStats& ep = stats.endpoint[e];
-    const char* name = stats_endpoint_name(e);
-    os << ", \"" << name << "_requests\": " << v(ep.requests) << ", \""
-       << name << "_errors\": " << v(ep.errors);
+    const char* name = endpoint_name(static_cast<Endpoint>(e));
+    os << ", \"" << name << "_requests\": " << load(ep.requests) << ", \""
+       << name << "_errors\": " << load(ep.errors);
     std::snprintf(buf, sizeof(buf), ", \"%s_p50_us\": %.1f", name,
                   ep.latency.percentile_us(0.50));
     os << buf;
@@ -171,78 +230,30 @@ std::string render_stats_prometheus(const ServerStats& stats,
 
   std::string out;
   out.reserve(8192);
-
-  struct Counter {
-    const char* name;
-    const char* type;
-    const char* help;
-    double value;
-  };
-  const Counter counters[] = {
-      {"sqvae_connections_accepted_total", "counter",
-       "Connections accepted by the event loop.",
-       v(stats.connections_accepted)},
-      {"sqvae_connections_active", "gauge", "Currently open connections.",
-       v(stats.connections_active)},
-      {"sqvae_connections_closed_total", "counter", "Connections closed.",
-       v(stats.connections_closed)},
-      {"sqvae_connections_reset_total", "counter",
-       "Connections torn down because the peer died mid-stream.",
-       v(stats.connections_reset)},
-      {"sqvae_connections_shed_total", "counter",
-       "Connections refused by the --max_conns admission limit.",
-       v(stats.connections_shed)},
-      {"sqvae_connections_idle_closed_total", "counter",
-       "Connections closed by the --idle_ms timeout.",
-       v(stats.connections_idle_closed)},
-      {"sqvae_requests_total", "counter", "Request lines received.",
-       v(stats.requests_total)},
-      {"sqvae_responses_total", "counter", "Response lines sent.",
-       v(stats.responses_total)},
-      {"sqvae_protocol_errors_total", "counter",
-       "Request lines that failed to parse.", v(stats.protocol_errors)},
-      {"sqvae_requests_shed_total", "counter",
-       "Requests refused by queue load shedding.", v(stats.requests_shed)},
-      {"sqvae_cache_hits_total", "counter", "Response cache hits.",
-       v(stats.cache_hits)},
-      {"sqvae_cache_misses_total", "counter", "Response cache misses.",
-       v(stats.cache_misses)},
-      {"sqvae_cache_inflight_joined_total", "counter",
-       "Requests that joined an identical in-flight computation.",
-       v(stats.cache_inflight_joined)},
-      {"sqvae_cache_evictions_total", "counter", "Response cache evictions.",
-       v(stats.cache_evictions)},
-      {"sqvae_cache_bytes", "gauge", "Response cache resident bytes.",
-       v(stats.cache_bytes)},
-      {"sqvae_cache_entries", "gauge", "Response cache resident entries.",
-       v(stats.cache_entries)},
-      {"sqvae_queue_depth", "gauge", "Batch queue depth at scrape time.",
-       static_cast<double>(queue_depth)},
-      {"sqvae_model_generation", "gauge",
-       "Registry generation of the default model (bumps on rollout).",
-       static_cast<double>(registry_generation)},
-  };
-  for (const Counter& c : counters) {
-    family(&out, c.name, c.type, c.help);
-    sample(&out, c.name, shard_label, c.value);
+  const StatsInputs in{stats, queue_depth, registry_generation};
+  for (const ScalarMetric& m : kScalarMetrics) {
+    family(&out, m.prometheus_name, m.type, m.help);
+    sample(&out, m.prometheus_name, shard_label,
+           static_cast<double>(m.value(in)));
   }
 
+  std::string endpoint_labels[kStatsEndpoints];
+  for (int e = 0; e < kStatsEndpoints; ++e) {
+    endpoint_labels[e] =
+        shard_label + ",endpoint=\"" +
+        prometheus_escape_label(endpoint_name(static_cast<Endpoint>(e))) +
+        "\"";
+  }
   family(&out, "sqvae_endpoint_requests_total", "counter",
          "Requests received, by endpoint.");
   for (int e = 0; e < kStatsEndpoints; ++e) {
-    const std::string labels =
-        shard_label + ",endpoint=\"" +
-        prometheus_escape_label(stats_endpoint_name(e)) + "\"";
-    sample(&out, "sqvae_endpoint_requests_total", labels,
+    sample(&out, "sqvae_endpoint_requests_total", endpoint_labels[e],
            v(stats.endpoint[e].requests));
   }
   family(&out, "sqvae_endpoint_errors_total", "counter",
          "Non-ok responses, by endpoint.");
   for (int e = 0; e < kStatsEndpoints; ++e) {
-    const std::string labels =
-        shard_label + ",endpoint=\"" +
-        prometheus_escape_label(stats_endpoint_name(e)) + "\"";
-    sample(&out, "sqvae_endpoint_errors_total", labels,
+    sample(&out, "sqvae_endpoint_errors_total", endpoint_labels[e],
            v(stats.endpoint[e].errors));
   }
 
@@ -254,9 +265,7 @@ std::string render_stats_prometheus(const ServerStats& stats,
          "Request wall time from parse to response ready, by endpoint.");
   for (int e = 0; e < kStatsEndpoints; ++e) {
     const LatencyHistogram& h = stats.endpoint[e].latency;
-    const std::string labels =
-        shard_label + ",endpoint=\"" +
-        prometheus_escape_label(stats_endpoint_name(e)) + "\"";
+    const std::string& labels = endpoint_labels[e];
     // One bucket snapshot feeds the cumulative series, the +Inf bucket,
     // and _count: deriving +Inf from the separate count() atomic could
     // momentarily disagree with the bucket sums under concurrent

@@ -19,7 +19,9 @@
 // more than a factor of 2 (and the bound is exact, not heuristic: every
 // sample in the bucket is within those bounds by construction).
 //
-// Two wire formats render the same counters:
+// Two wire formats render the same counters, walking one table of scalar
+// metrics (JSON key, Prometheus name, type, help, accessor; stats.cpp)
+// and then the per-endpoint counters and latency histograms:
 //   * render_stats_response — the serve line protocol's flat JSON object
 //     (one line), readable by the same minimal parsers that read
 //     inference replies;
@@ -95,9 +97,6 @@ class LatencyHistogram {
 /// static_cast<int>(Endpoint).
 constexpr int kStatsEndpoints = 4;
 
-/// Wire name of endpoint index e (the Endpoint enum's wire names).
-const char* stats_endpoint_name(int e);
-
 /// Per-endpoint request breakdown: encode / decode / reconstruct /
 /// latent_sample split out from the global counters, so one expensive
 /// endpoint cannot hide behind a cheap one's volume in the p99.
@@ -154,7 +153,7 @@ struct ServerStats {
 /// every counter above (including the per-endpoint breakdown as
 /// <name>_requests / <name>_errors / <name>_p50_us / <name>_p99_us) plus
 /// the sampled gauges passed in (queue depth and registry generation live
-/// outside ServerStats).
+/// outside ServerStats). The scalar keys come from the table in stats.cpp.
 std::string render_stats_response(const ServerStats& stats,
                                   std::uint64_t queue_depth,
                                   std::uint64_t registry_generation,

@@ -15,6 +15,7 @@
 
 #include "serve/registry.h"
 #include "serve/service.h"
+#include "serve_call.h"
 
 namespace {
 
@@ -116,7 +117,7 @@ void hammer_and_compare(const serve::ModelSpec& spec) {
       for (const TestRequest& r :
            request_mix(*loaded, static_cast<std::uint64_t>(c))) {
         const serve::InferenceResult result =
-            service.submit("default", r.endpoint, r.input, r.seed).get();
+            serve_call::call(service, r.endpoint, r.input, r.seed);
         if (!result.ok) {
           ++failures;
           return;
@@ -198,7 +199,8 @@ TEST(ServeDeterminism, SurvivesConcurrentHotSwap) {
     }
   });
   for (int i = 0; i < 100; ++i) {
-    const serve::InferenceResult r = service.encode(x, 5);
+    const serve::InferenceResult r =
+        serve_call::call(service, serve::Endpoint::kEncode, x, 5);
     ASSERT_TRUE(r.ok);
     EXPECT_TRUE(r.values == expect_a || r.values == expect_b) << i;
   }
@@ -206,7 +208,8 @@ TEST(ServeDeterminism, SurvivesConcurrentHotSwap) {
   swapper.join();
 
   registry.publish("default", loaded_b);
-  EXPECT_EQ(service.encode(x, 5).values, expect_b);
+  EXPECT_EQ(serve_call::call(service, serve::Endpoint::kEncode, x, 5).values,
+            expect_b);
 }
 
 }  // namespace

@@ -272,6 +272,24 @@ TEST_F(EventLoopTest, MalformedLinesGetErrorsAndAreCounted) {
   EXPECT_GE(stats_.protocol_errors.load(), 2u);
 }
 
+TEST_F(EventLoopTest, OversizedFrameClosesAfterEarlierResponses) {
+  // The frame-size error is the connection's last line: every request
+  // before the oversized frame is answered first, in order.
+  serve::EventLoopConfig loop_config;
+  loop_config.max_line_bytes = 1024;
+  start_server({}, loop_config);
+  Client client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.send_all(request_line(1, 1) + "not json\n" + std::string(4096, 'x'));
+  const std::vector<std::string> lines = client.read_lines(3);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"id\": 1"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"ok\": false"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[2].find("exceeds 1024 bytes"), std::string::npos)
+      << lines[2];
+  EXPECT_TRUE(client.read_eof());
+}
+
 TEST_F(EventLoopTest, ConnectionLimitShedsWithOverloadedLine) {
   serve::EventLoopConfig loop_config;
   loop_config.max_conns = 1;

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "serve/response_cache.h"
 #include "serve/service.h"
 #include "serve/stats.h"
+#include "serve_call.h"
 
 namespace {
 
@@ -105,23 +105,6 @@ TEST(ResponseCache, ErrorResultsResolveWaitersButAreNotStored) {
   EXPECT_EQ(cache.entries(), 0u);  // errors are never cached...
   EXPECT_EQ(cache.lookup_or_join(key, &out, nullptr),
             serve::ResponseCache::Lookup::kOwner);  // ...so retries recompute
-}
-
-TEST(ResponseCache, FailResolvesWaitersWithError) {
-  serve::ResponseCache cache(1 << 20);
-  const serve::CacheKey key =
-      serve::response_cache_key(1, serve::Endpoint::kDecode, {3.0}, 0);
-  serve::InferenceResult out;
-  ASSERT_EQ(cache.lookup_or_join(key, &out, nullptr),
-            serve::ResponseCache::Lookup::kOwner);
-  std::string seen;
-  ASSERT_EQ(cache.lookup_or_join(
-                key, &out,
-                [&](const serve::InferenceResult& r) { seen = r.error; }),
-            serve::ResponseCache::Lookup::kJoined);
-  cache.fail(key, "shed after ownership");
-  EXPECT_EQ(seen, "shed after ownership");
-  EXPECT_EQ(cache.entries(), 0u);
 }
 
 // ---- LRU eviction ---------------------------------------------------------
@@ -240,10 +223,10 @@ TEST(ResponseCache, ServiceRoutesThroughCacheBitIdentically) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.1 + 0.05 * i;
 
   const serve::InferenceResult first =
-      service.submit("default", serve::Endpoint::kEncode, x, 42).get();
+      serve_call::call(service, serve::Endpoint::kEncode, x, 42);
   ASSERT_TRUE(first.ok) << first.error;
   const serve::InferenceResult second =
-      service.submit("default", serve::Endpoint::kEncode, x, 42).get();
+      serve_call::call(service, serve::Endpoint::kEncode, x, 42);
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(first.values, second.values);  // bit-identical, not approximate
   EXPECT_GE(stats.cache_hits.load(), 1u);
@@ -251,27 +234,26 @@ TEST(ResponseCache, ServiceRoutesThroughCacheBitIdentically) {
   // A different seed is a different key (stochastic endpoints depend on
   // it), so it must miss.
   const auto hits_before = stats.cache_hits.load();
-  service.submit("default", serve::Endpoint::kEncode, x, 43).get();
+  serve_call::call(service, serve::Endpoint::kEncode, x, 43);
   EXPECT_EQ(stats.cache_hits.load(), hits_before);
 
   // Hot-swapping the model bumps the generation: the old entries are
   // unreachable, the same request misses and recomputes.
   registry.publish("default", serve::LoadedModel::from_model(spec, *model));
-  service.submit("default", serve::Endpoint::kEncode, x, 42).get();
+  serve_call::call(service, serve::Endpoint::kEncode, x, 42);
   EXPECT_EQ(stats.cache_hits.load(), hits_before);
 
   // Concurrent identical submissions: whatever mix of cache hits,
   // in-flight joins, and fresh executions occurs, every reply is
   // bit-identical to the first.
   constexpr int kBurst = 32;
-  std::vector<std::future<serve::InferenceResult>> futures;
-  futures.reserve(kBurst);
+  std::vector<serve_call::Pending> burst;
+  burst.reserve(kBurst);
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(
-        service.submit("default", serve::Endpoint::kEncode, x, 42));
+    burst.emplace_back(service, "default", serve::Endpoint::kEncode, x, 42);
   }
-  for (auto& f : futures) {
-    const serve::InferenceResult r = f.get();
+  for (auto& pending : burst) {
+    const serve::InferenceResult r = pending.wait();
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.values, first.values);
   }

@@ -1,12 +1,17 @@
 // Prometheus exposition compliance and LatencyHistogram bound/percentile
 // contracts: exact HELP/TYPE framing, label escaping, cumulative bucket
-// monotonicity with honest le bounds, the "# EOF" in-band terminator, and
-// the per-endpoint breakdown in both wire formats. Thread-free on
-// purpose — format compliance needs no concurrency.
+// monotonicity with honest le bounds, the "# EOF" in-band terminator, the
+// per-endpoint breakdown in both wire formats, both renderings pinned
+// byte for byte (tests/golden/), and docs/OPERATIONS.md's metric table
+// against the families actually emitted. Thread-free on purpose — format
+// compliance needs no concurrency.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "prometheus_text.h"
@@ -134,11 +139,17 @@ void populate(ServerStats* stats) {
   stats->connections_accepted = 7;
   stats->connections_active = 2;
   stats->connections_closed = 5;
+  stats->connections_reset = 3;
+  stats->connections_shed = 4;
+  stats->connections_idle_closed = 6;
   stats->requests_total = 40;
   stats->responses_total = 39;
   stats->protocol_errors = 1;
+  stats->requests_shed = 8;
   stats->cache_hits = 10;
   stats->cache_misses = 30;
+  stats->cache_inflight_joined = 9;
+  stats->cache_evictions = 11;
   stats->cache_bytes = 4096;
   stats->cache_entries = 12;
   for (int i = 0; i < 20; ++i) stats->latency.record_us(100 + i);
@@ -241,6 +252,50 @@ TEST(RenderPrometheusTest, HistogramUsesHonestBoundsInSeconds) {
   EXPECT_NE(body.find("sqvae_request_latency_seconds_count{shard=\"0\","
                       "endpoint=\"encode\"} 1\n"),
             std::string::npos);
+}
+
+/// A file of the source tree, "" when unreadable.
+std::string source_file(const std::string& relative) {
+  std::ifstream f(std::string(SQVAE_SOURCE_DIR) + "/" + relative,
+                  std::ios::binary);
+  std::ostringstream os;
+  os << f.rdbuf();
+  return os.str();
+}
+
+TEST(RenderPinTest, BothRenderingsMatchTheirPins) {
+  // Every scalar counter holds a distinct value, so a reordered, dropped
+  // or mislabelled metric changes the bytes.
+  ServerStats stats;
+  populate(&stats);
+  EXPECT_EQ(serve::render_stats_response(stats, 3, 2, true, 9) + "\n",
+            source_file("tests/golden/stats.json"));
+  EXPECT_EQ(serve::render_stats_prometheus(stats, 3, 2, 1) + "\n",
+            source_file("tests/golden/stats.prom"));
+}
+
+TEST(RenderPrometheusTest, OperationsTableListsExactlyTheEmittedFamilies) {
+  ServerStats stats;
+  std::set<std::string> emitted;
+  std::istringstream body(serve::render_stats_prometheus(stats, 0, 1, 0));
+  for (std::string line; std::getline(body, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      emitted.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  // The first column of the table under "### Prometheus metrics
+  // reference", up to the next heading.
+  std::set<std::string> documented;
+  std::istringstream doc(source_file("docs/OPERATIONS.md"));
+  bool in_section = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("### ", 0) == 0) {
+      in_section = line == "### Prometheus metrics reference";
+    } else if (in_section && line.rfind("| `", 0) == 0) {
+      documented.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  EXPECT_EQ(documented, emitted);
 }
 
 // ---- JSON variant keeps its contract --------------------------------------

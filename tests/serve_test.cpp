@@ -6,7 +6,7 @@
 
 #include <chrono>
 #include <filesystem>
-#include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/service.h"
+#include "serve_call.h"
 
 namespace {
 
@@ -151,6 +152,28 @@ TEST(LoadedModel, RejectsMismatchedCheckpoint) {
   EXPECT_FALSE(error.empty());
 }
 
+/// Loading a checkpoint whose first parameter value is `bad` fails, and
+/// the error says why.
+void expect_rejects_non_finite(double bad) {
+  const serve::ModelSpec spec = small_sq_ae_spec();
+  std::string error;
+  auto diverged = serve::build_model(spec, &error);
+  ASSERT_NE(diverged, nullptr) << error;
+  models::checkpoint_parameters(*diverged).front()->value[0] = bad;
+  auto loaded = serve::LoadedModel::from_checkpoint_text(
+      spec, models::checkpoint_to_text(*diverged), &error);
+  EXPECT_EQ(loaded, nullptr);
+  EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+}
+
+TEST(LoadedModel, RejectsNanCheckpoint) {
+  expect_rejects_non_finite(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(LoadedModel, RejectsInfCheckpoint) {
+  expect_rejects_non_finite(-std::numeric_limits<double>::infinity());
+}
+
 TEST(ModelRegistry, PublishBumpsGenerationAndSwaps) {
   serve::ModelRegistry registry;
   EXPECT_EQ(registry.generation("default"), 0u);
@@ -170,27 +193,28 @@ TEST(ModelRegistry, PublishBumpsGenerationAndSwaps) {
 
 // ---- BatchQueue -----------------------------------------------------------
 
+/// Pushes a request whose result nobody reads.
+void push(serve::BatchQueue& queue, const std::string& model,
+          serve::Endpoint endpoint, double x) {
+  queue.push(model, endpoint, {x}, 0, [](const serve::InferenceResult&) {});
+}
+
 TEST(BatchQueue, CoalescesSameKeyUpToMaxBatch) {
   serve::BatchQueue queue(/*max_batch=*/3, /*max_wait_us=*/0);
-  std::vector<std::future<serve::InferenceResult>> futures;
-  for (int i = 0; i < 5; ++i) {
-    futures.push_back(
-        queue.push("m", serve::Endpoint::kEncode, {1.0}, 0));
-  }
+  for (int i = 0; i < 5; ++i) push(queue, "m", serve::Endpoint::kEncode, 1.0);
   std::vector<serve::Request> batch = queue.pop_batch();
   EXPECT_EQ(batch.size(), 3u);
   batch = queue.pop_batch();
   EXPECT_EQ(batch.size(), 2u);
-  for (auto& b : batch) b.promise.set_value(serve::InferenceResult{});
   EXPECT_EQ(queue.depth(), 0u);
 }
 
 TEST(BatchQueue, KeepsForeignKeysQueued) {
   serve::BatchQueue queue(/*max_batch=*/8, /*max_wait_us=*/0);
-  auto f1 = queue.push("a", serve::Endpoint::kEncode, {1.0}, 0);
-  auto f2 = queue.push("b", serve::Endpoint::kEncode, {1.0}, 0);
-  auto f3 = queue.push("a", serve::Endpoint::kDecode, {1.0}, 0);
-  auto f4 = queue.push("a", serve::Endpoint::kEncode, {2.0}, 0);
+  push(queue, "a", serve::Endpoint::kEncode, 1.0);
+  push(queue, "b", serve::Endpoint::kEncode, 1.0);
+  push(queue, "a", serve::Endpoint::kDecode, 1.0);
+  push(queue, "a", serve::Endpoint::kEncode, 2.0);
 
   std::vector<serve::Request> batch = queue.pop_batch();
   ASSERT_EQ(batch.size(), 2u);  // both ("a", encode) requests
@@ -201,12 +225,19 @@ TEST(BatchQueue, KeepsForeignKeysQueued) {
 
 TEST(BatchQueue, CloseDrainsAndRejects) {
   serve::BatchQueue queue(4, 0);
-  auto queued = queue.push("m", serve::Endpoint::kEncode, {1.0}, 0);
+  push(queue, "m", serve::Endpoint::kEncode, 1.0);
   queue.close();
-  // Already-queued work still pops; new pushes fail immediately.
+  // Already-queued work still pops; new pushes fail immediately, their
+  // callback running inline.
   EXPECT_EQ(queue.pop_batch().size(), 1u);
-  auto rejected = queue.push("m", serve::Endpoint::kEncode, {1.0}, 0);
-  const serve::InferenceResult result = rejected.get();
+  int answered = 0;
+  serve::InferenceResult result;
+  queue.push("m", serve::Endpoint::kEncode, {1.0}, 0,
+             [&](const serve::InferenceResult& r) {
+               result = r;
+               ++answered;
+             });
+  EXPECT_EQ(answered, 1);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(queue.pop_batch().size(), 0u);  // closed-and-drained sentinel
 }
@@ -226,7 +257,8 @@ TEST(InferenceService, MatchesInProcessModel) {
   serve::InferenceService service(registry, config);
 
   const std::vector<double> x = ramp(spec.input_dim);
-  const serve::InferenceResult recon = service.reconstruct(x, 1);
+  const serve::InferenceResult recon =
+      serve_call::call(service, serve::Endpoint::kReconstruct, x, 1);
   ASSERT_TRUE(recon.ok) << recon.error;
   Rng unused(0);
   const Matrix expected = model->reconstruct(row_matrix(x), unused);
@@ -235,7 +267,8 @@ TEST(InferenceService, MatchesInProcessModel) {
     EXPECT_EQ(recon.values[i], expected(0, i)) << i;  // bitwise
   }
 
-  const serve::InferenceResult enc = service.encode(x, 2);
+  const serve::InferenceResult enc =
+      serve_call::call(service, serve::Endpoint::kEncode, x, 2);
   ASSERT_TRUE(enc.ok);
   const Matrix latent = model->encode_values(row_matrix(x));
   ASSERT_EQ(enc.values.size(), latent.cols());
@@ -243,7 +276,8 @@ TEST(InferenceService, MatchesInProcessModel) {
     EXPECT_EQ(enc.values[i], latent(0, i)) << i;
   }
 
-  const serve::InferenceResult dec = service.decode(enc.values, 3);
+  const serve::InferenceResult dec =
+      serve_call::call(service, serve::Endpoint::kDecode, enc.values, 3);
   ASSERT_TRUE(dec.ok);
   EXPECT_EQ(dec.values.size(), spec.input_dim);
 }
@@ -258,10 +292,16 @@ TEST(InferenceService, ErrorPaths) {
   config.threads = 1;
   serve::InferenceService service(registry, config);
 
-  EXPECT_FALSE(service.reconstruct(ramp(3), 0).ok);           // wrong dim
-  EXPECT_FALSE(service.latent_sample(0).ok);                  // not a VAE
-  EXPECT_FALSE(service.encode(ramp(spec.input_dim), 0, "nope").ok);
-  const serve::InferenceResult bad = service.encode(ramp(3), 0);
+  using serve::Endpoint;
+  EXPECT_FALSE(  // wrong dim
+      serve_call::call(service, Endpoint::kReconstruct, ramp(3), 0).ok);
+  EXPECT_FALSE(  // not a VAE
+      serve_call::call(service, Endpoint::kLatentSample, {}, 0).ok);
+  EXPECT_FALSE(serve_call::call(service, Endpoint::kEncode,
+                                ramp(spec.input_dim), 0, "nope")
+                   .ok);
+  const serve::InferenceResult bad =
+      serve_call::call(service, Endpoint::kEncode, ramp(3), 0);
   EXPECT_NE(bad.error.find("encode"), std::string::npos);
 }
 
@@ -276,9 +316,13 @@ TEST(InferenceService, LatentSampleIsSeedDeterministic) {
   config.threads = 2;
   serve::InferenceService service(registry, config);
 
-  const serve::InferenceResult a = service.latent_sample(11);
-  const serve::InferenceResult b = service.latent_sample(11);
-  const serve::InferenceResult c = service.latent_sample(12);
+  using serve::Endpoint;
+  const serve::InferenceResult a =
+      serve_call::call(service, Endpoint::kLatentSample, {}, 11);
+  const serve::InferenceResult b =
+      serve_call::call(service, Endpoint::kLatentSample, {}, 11);
+  const serve::InferenceResult c =
+      serve_call::call(service, Endpoint::kLatentSample, {}, 12);
   ASSERT_TRUE(a.ok && b.ok && c.ok);
   EXPECT_EQ(a.values, b.values);
   EXPECT_NE(a.values, c.values);
@@ -313,14 +357,13 @@ TEST(InferenceService, BatchedEqualsSingleBitwise) {
     // alone as it arrives).
     config.max_batch_wait_us = 100000;
     serve::InferenceService service(registry, config);
-    std::vector<std::future<serve::InferenceResult>> futures;
+    std::vector<serve_call::Pending> wave;
     for (int i = 0; i < kWave; ++i) {
-      futures.push_back(service.submit(
-          "default", serve::Endpoint::kReconstruct, inputs[i],
-          static_cast<std::uint64_t>(i)));
+      wave.emplace_back(service, "default", serve::Endpoint::kReconstruct,
+                        inputs[i], static_cast<std::uint64_t>(i));
     }
     for (int i = 0; i < kWave; ++i) {
-      const serve::InferenceResult r = futures[i].get();
+      const serve::InferenceResult r = wave[i].wait();
       ASSERT_TRUE(r.ok) << r.error;
       batched[i] = r.values;
     }
@@ -334,7 +377,8 @@ TEST(InferenceService, BatchedEqualsSingleBitwise) {
   serve::InferenceService service(registry, serial);
   for (int i = 0; i < kWave; ++i) {
     const serve::InferenceResult r =
-        service.reconstruct(inputs[i], static_cast<std::uint64_t>(i));
+        serve_call::call(service, serve::Endpoint::kReconstruct, inputs[i],
+                         static_cast<std::uint64_t>(i));
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(batched[i], r.values) << "row " << i;  // bitwise
   }
@@ -357,11 +401,13 @@ TEST(InferenceService, HotSwapTakesEffect) {
   serve::InferenceService service(registry, config);
 
   const std::vector<double> x = ramp(spec.input_dim);
-  const serve::InferenceResult before = service.reconstruct(x, 0);
+  const serve::InferenceResult before =
+      serve_call::call(service, serve::Endpoint::kReconstruct, x, 0);
   ASSERT_TRUE(before.ok);
 
   registry.publish("default", serve::LoadedModel::from_model(spec, *model_b));
-  const serve::InferenceResult after = service.reconstruct(x, 0);
+  const serve::InferenceResult after =
+      serve_call::call(service, serve::Endpoint::kReconstruct, x, 0);
   ASSERT_TRUE(after.ok);
   EXPECT_NE(before.values, after.values);
 
@@ -414,14 +460,14 @@ TEST(InferenceService, DefaultPoolAddsOnlyItsWorkers) {
   serve::InferenceService service(registry, serve::ServeConfig{});
   EXPECT_EQ(service.num_workers(), thread_budget::process_threads());
   EXPECT_EQ(service.worker_team(), 1);
-  std::vector<std::future<serve::InferenceResult>> burst;
+  std::vector<serve_call::Pending> burst;
   for (int i = 0; i < 256; ++i) {
-    burst.push_back(service.submit(
-        "default",
+    burst.emplace_back(
+        service, "default",
         i % 2 == 0 ? serve::Endpoint::kReconstruct : serve::Endpoint::kEncode,
-        ramp(spec.input_dim, 0.5 + 0.01 * i), static_cast<std::uint64_t>(i)));
+        ramp(spec.input_dim, 0.5 + 0.01 * i), static_cast<std::uint64_t>(i));
   }
-  for (auto& f : burst) ASSERT_TRUE(f.get().ok);
+  for (auto& pending : burst) ASSERT_TRUE(pending.wait().ok);
   EXPECT_EQ(settled_threads(), before + service.num_workers());
 }
 #endif  // __linux__

@@ -38,6 +38,14 @@ compiler nor TSan can catch:
                    inline); a future adds a second, blocking path and a
                    heap-allocated shared state per request. Tests block
                    through tests/serve_call.h instead.
+  number-text      strtod / strtof / strtold, std::stod / stof / stold,
+                   atof, and max_digits10 outside
+                   src/common/number_text.{h,cpp}. Numbers cross between
+                   binary and text in one codec (shortest round-trip
+                   to_chars, whole-token from_chars, non-finite values
+                   only on opt-in); strtod reads a prefix, accepts hex and
+                   a leading '+', and folds underflow to 0, and stream
+                   formatting is 5-7x slower than to_chars.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
 line or the line directly above suppresses that rule for that line. The
@@ -66,6 +74,11 @@ NAKED_MUTEX_EXEMPT = ("src/common/mutex.h",)
 # team size (the thing naked-parallelism exists to protect).
 NAKED_PARALLELISM_EXEMPT = ("src/common/thread_budget.h",
                             "src/common/thread_budget.cpp")
+
+# src/common/number_text.{h,cpp} own every double <-> text conversion (the
+# thing number-text exists to protect).
+NUMBER_TEXT_EXEMPT = ("src/common/number_text.h",
+                      "src/common/number_text.cpp")
 
 ALLOW_RE = re.compile(r"//\s*lint-allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -97,6 +110,9 @@ FUTURE_API_RE = re.compile(
     r"^\s*#\s*include\s*<future>|"
     r"\bstd::(?:future|shared_future|promise|packaged_task|async)\b")
 NUM_THREADS_RE = re.compile(r"\bnum_threads\s*\(")
+
+NUMBER_TEXT_RE = re.compile(
+    r"\b(?:strto(?:d|f|ld)|sto(?:d|f|ld)|atof|max_digits10)\b")
 
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
 
@@ -195,6 +211,7 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
     mutex_exempt = rel_path.replace("\\", "/") in NAKED_MUTEX_EXEMPT
     parallelism_exempt = (rel_path.replace("\\", "/") in
                           NAKED_PARALLELISM_EXEMPT)
+    number_text_exempt = rel_path.replace("\\", "/") in NUMBER_TEXT_EXEMPT
 
     for lineno, line in enumerate(stripped_lines, start=1):
         def allowed(rule: str) -> bool:
@@ -239,6 +256,13 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
                    "submit work through InferenceService::submit_cb with a "
                    "callback; futures add a second, blocking submission "
                    "path")
+
+        if not number_text_exempt and not allowed("number-text"):
+            m = NUMBER_TEXT_RE.search(line)
+            if m:
+                yield ("number-text", lineno,
+                       f"{m.group(0)} converts numbers outside the codec; "
+                       "use sqvae::number_text (src/common/number_text.h)")
 
         for m in RANGE_FOR_RE.finditer(line):
             range_expr = m.group(2) or ""
@@ -386,6 +410,19 @@ SELF_TEST_CASES = [
      set(), set()),
     ("future_in_comment", "// no std::future here", set(), set()),
     ("submit_cb_ok", "service.submit_cb(m, e, x, s, done);", set(), set()),
+    ("strtod", "double v = std::strtod(p, &end);", set(), {"number-text"}),
+    ("stod", "const double v = std::stod(value);", set(), {"number-text"}),
+    ("atof", "double v = atof(p);", set(), {"number-text"}),
+    ("max_digits10",
+     "os << std::setprecision(std::numeric_limits<double>::max_digits10);",
+     set(), {"number-text"}),
+    ("number_text_allowed",
+     "// lint-allow(number-text): QASM literals need a decimal point\n"
+     "os << std::setprecision(std::numeric_limits<double>::max_digits10);",
+     set(), set()),
+    ("codec_ok", "number_text::append(&out, v);", set(), set()),
+    ("strtoull_ok", "auto n = std::strtoull(v, &end, 10);", set(), set()),
+    ("stod_in_comment", "// std::stod reads a prefix", set(), set()),
 ]
 
 
@@ -405,7 +442,9 @@ def self_test() -> int:
     for name, path, source in (
             ("mutex_h_exempt", "src/common/mutex.h", "std::mutex mu_;"),
             ("thread_budget_exempt", "src/common/thread_budget.cpp",
-             "const int n = omp_get_max_threads();")):
+             "const int n = omp_get_max_threads();"),
+            ("number_text_exempt", "src/common/number_text.cpp",
+             "double v = std::strtod(p, &end);")):
         got = {rule for rule, _, _ in check_file(path, source, set())}
         if got:
             print(f"self-test FAIL {name}: got {sorted(got)}",
@@ -415,7 +454,7 @@ def self_test() -> int:
         print(f"determinism_lint self-test: {failures} failure(s)",
               file=sys.stderr)
         return 2
-    print(f"determinism_lint self-test: {len(SELF_TEST_CASES) + 2} cases ok")
+    print(f"determinism_lint self-test: {len(SELF_TEST_CASES) + 3} cases ok")
     return 0
 
 

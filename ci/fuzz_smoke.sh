@@ -2,8 +2,10 @@
 # CI fuzz smoke: builds the libFuzzer harnesses (clang, ASan+UBSan) and
 # runs each for a bounded wall-clock budget from its checked-in seed
 # corpus. This is a crash gate, not a coverage campaign — 30 seconds per
-# target catches regressions in the parser / shard validator trust
-# boundaries on every push; longer campaigns run out-of-band.
+# target catches regressions in the protocol parser, checkpoint loader and
+# shard validator trust boundaries on every push; longer campaigns run
+# out-of-band. (The checked-in corpora themselves also replay in every test
+# lane as the `fuzz_<target>_replay` ctests, no clang needed.)
 #
 # Usage: ci/fuzz_smoke.sh [BUILD_DIR] [SECONDS_PER_TARGET]
 set -euo pipefail
@@ -25,10 +27,10 @@ cmake -B "${BUILD_DIR}" -S . \
   -DSQVAE_BUILD_TESTS=OFF -DSQVAE_BUILD_BENCH=OFF \
   -DSQVAE_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target fuzz_protocol fuzz_shard_header
+  --target fuzz_protocol fuzz_checkpoint fuzz_shard_header
 
 FAILED=0
-for target in fuzz_protocol fuzz_shard_header; do
+for target in fuzz_protocol fuzz_checkpoint fuzz_shard_header; do
   corpus="tests/fuzz/corpus/${target#fuzz_}"
   echo "=== ${target}: ${BUDGET}s from ${corpus} ==="
   # The corpus directory is read-only input here (no -merge): CI must not

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/number_text.h"
+
 namespace sqvae {
 
 void Flags::add_string(const std::string& name, std::string default_value,
@@ -20,9 +22,9 @@ void Flags::add_int(const std::string& name, long long default_value,
 
 void Flags::add_double(const std::string& name, double default_value,
                        std::string help) {
-  std::ostringstream os;
-  os << default_value;
-  entries_[name] = Entry{Type::kDouble, os.str(), os.str(), std::move(help)};
+  // Shortest round-trip form: a default of 1.0 / 3 reads back exactly.
+  const std::string v = number_text::to_text(default_value);
+  entries_[name] = Entry{Type::kDouble, v, v, std::move(help)};
 }
 
 void Flags::add_bool(const std::string& name, bool default_value,
@@ -64,25 +66,28 @@ bool Flags::parse(int argc, const char* const* argv) {
         throw std::invalid_argument("flag --" + name + " requires a value");
       }
     }
-    // Validate typed values eagerly so errors point at the flag.
-    try {
-      switch (e.type) {
-        case Type::kInt:
-          (void)std::stoll(value);
-          break;
-        case Type::kDouble:
-          (void)std::stod(value);
-          break;
-        case Type::kBool:
-          if (value != "true" && value != "false" && value != "1" &&
-              value != "0") {
-            throw std::invalid_argument(value);
-          }
-          break;
-        case Type::kString:
-          break;
+    // Validate typed values eagerly so errors point at the flag: the whole
+    // value must be one number, and a double must be finite.
+    bool valid = true;
+    switch (e.type) {
+      case Type::kInt: {
+        long long v = 0;
+        valid = number_text::parse(value, &v) == number_text::Error::kNone;
+        break;
       }
-    } catch (const std::exception&) {
+      case Type::kDouble: {
+        double v = 0.0;
+        valid = number_text::parse(value, &v) == number_text::Error::kNone;
+        break;
+      }
+      case Type::kBool:
+        valid = value == "true" || value == "false" || value == "1" ||
+                value == "0";
+        break;
+      case Type::kString:
+        break;
+    }
+    if (!valid) {
       throw std::invalid_argument("bad value for flag --" + name + ": " +
                                   value);
     }
@@ -105,11 +110,17 @@ std::string Flags::get_string(const std::string& name) const {
 }
 
 long long Flags::get_int(const std::string& name) const {
-  return std::stoll(entry(name, Type::kInt).value);
+  long long v = 0;
+  (void)number_text::parse(entry(name, Type::kInt).value, &v);
+  return v;
 }
 
 double Flags::get_double(const std::string& name) const {
-  return std::stod(entry(name, Type::kDouble).value);
+  // Parsed values were checked finite; a default may be inf on purpose.
+  double v = 0.0;
+  (void)number_text::parse(entry(name, Type::kDouble).value, &v,
+                           number_text::NonFinite::kAllow);
+  return v;
 }
 
 bool Flags::get_bool(const std::string& name) const {

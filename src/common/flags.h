@@ -29,7 +29,9 @@ class Flags {
 
   /// Parses argv. Returns false (after printing usage) when --help is
   /// requested. Throws std::invalid_argument on unknown flags or malformed
-  /// values.
+  /// values: a number flag's value must be exactly one number
+  /// (common/number_text.h — "5x", or "3.7" for an int, is malformed), and
+  /// a double must be finite.
   bool parse(int argc, const char* const* argv);
 
   std::string get_string(const std::string& name) const;

@@ -1,26 +1,26 @@
 #include "data/io.h"
 
 #include <cctype>
-#include <charconv>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "chem/smiles.h"
+#include "common/number_text.h"
 
 namespace sqvae::data {
 
 bool save_csv(const Dataset& dataset, const std::string& path) {
   std::ofstream f(path);
   if (!f) return false;
-  f << std::setprecision(std::numeric_limits<double>::max_digits10);
+  std::string line;
   for (std::size_t r = 0; r < dataset.size(); ++r) {
+    line.clear();
     for (std::size_t c = 0; c < dataset.num_features(); ++c) {
-      if (c) f << ',';
-      f << dataset.samples(r, c);
+      if (c) line += ',';
+      number_text::append(&line, dataset.samples(r, c));
     }
-    f << '\n';
+    line += '\n';
+    f << line;
   }
   return static_cast<bool>(f);
 }
@@ -51,10 +51,9 @@ std::optional<Dataset> load_csv(const std::string& path, CsvError* error) {
     std::stringstream ls(line);
     std::string field;
     while (std::getline(ls, field, ',')) {
-      // std::from_chars, not std::stod: stod honours the global LC_NUMERIC
-      // locale (a comma-decimal locale silently misparses "1.5") and folds
-      // out-of-range fields into the same exception as syntax errors. The
-      // charconv parse is locale-independent and distinguishes the two.
+      // The codec is locale-independent (a comma-decimal LC_NUMERIC
+      // locale cannot misparse "1.5") and tells out-of-range fields apart
+      // from syntax errors. Non-finite fields are rejected.
       const char* begin = field.data();
       const char* end = field.data() + field.size();
       while (begin < end &&
@@ -66,13 +65,11 @@ std::optional<Dataset> load_csv(const std::string& path, CsvError* error) {
         --end;
       }
       double v = 0.0;
-      const auto [ptr, ec] = std::from_chars(begin, end, v);
-      if (ec == std::errc::result_out_of_range) {
-        set_error(error, line_number, "number out of range: '" + field + "'");
-        return std::nullopt;
-      }
-      if (ec != std::errc{} || ptr != end || begin == end) {
-        set_error(error, line_number, "not a number: '" + field + "'");
+      const number_text::Error e = number_text::parse(
+          std::string_view(begin, static_cast<std::size_t>(end - begin)), &v);
+      if (e != number_text::Error::kNone) {
+        set_error(error, line_number,
+                  std::string(number_text::describe(e)) + ": '" + field + "'");
         return std::nullopt;
       }
       row.push_back(v);

@@ -6,8 +6,12 @@
 //
 //   v1 ("sqvae-checkpoint 1") — parameter values only: a header with the
 //   parameter count, then one line per parameter with its shape and
-//   row-major values printed with max_digits10 so a save/load round trip
-//   is bit-exact for doubles.
+//   row-major values. Every number goes through common/number_text.h:
+//   values are written in the shortest form that reads back to the same
+//   double, so a save/load round trip is bit-exact, and files written at
+//   max_digits10 (the format before the codec) load to the same bits.
+//   Non-finite values ("nan", "inf") load too, so a diverged run stays
+//   inspectable; serve::LoadedModel refuses to serve one.
 //
 //   v2 ("sqvae-checkpoint 2") — full training state for exact resume: the
 //   v1 parameter block plus the epoch cursor, best-model tracking
@@ -77,6 +81,10 @@ std::string checkpoint_to_text_v2(Autoencoder& model, const TrainState& state);
 /// optimizer/rng blocks are empty leaves the attached objects unchanged.
 bool checkpoint_from_text_v2(const std::string& text, Autoencoder& model,
                              TrainState& state);
+
+/// Reads the whole file at `path` into `*text`. False when it cannot be
+/// opened. Every checkpoint load reads through this.
+bool read_file(const std::string& path, std::string* text);
 
 /// Writes `text` to `path` via a sibling temp file + rename, so a kill or
 /// write error mid-save never destroys an existing good file. Used by

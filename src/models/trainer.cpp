@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -173,12 +172,8 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
       // The best parameters seen before the interruption live in the
       // sibling ".best" file; reload them so restore_best still works when
       // no post-resume epoch improves on the pre-kill best.
-      std::ifstream best_file(config_.checkpoint_path + ".best");
-      if (best_file) {
-        std::ostringstream buffer;
-        buffer << best_file.rdbuf();
-        best_text = buffer.str();
-      }
+      // A missing file leaves best_text empty.
+      (void)read_file(config_.checkpoint_path + ".best", &best_text);
     }
   }
 

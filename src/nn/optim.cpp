@@ -2,13 +2,8 @@
 
 #include <cassert>
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <limits>
-#include <ostream>
-#include <string>
 
-#include "common/parse.h"
+#include "common/number_text.h"
 
 namespace sqvae::nn {
 
@@ -66,27 +61,33 @@ std::size_t Adam::num_parameters() const {
   return n;
 }
 
-void Adam::serialize(std::ostream& os) const {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "adam " << t_ << ' ' << groups_.size() << '\n';
+void Adam::serialize(std::string* out) const {
+  using number_text::append;
+  number_text::append_line(out, "adam", t_, groups_.size());
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    os << groups_[g].lr << ' ' << groups_[g].params.size() << '\n';
+    number_text::append_line(out, groups_[g].lr, groups_[g].params.size());
     for (std::size_t i = 0; i < groups_[g].params.size(); ++i) {
       const State& s = state_[g][i];
-      os << s.m.rows() << ' ' << s.m.cols();
-      for (std::size_t k = 0; k < s.m.size(); ++k) os << ' ' << s.m[k];
-      for (std::size_t k = 0; k < s.v.size(); ++k) os << ' ' << s.v[k];
-      os << '\n';
+      append(out, s.m.rows());
+      *out += ' ';
+      append(out, s.m.cols());
+      for (const Matrix* moment : {&s.m, &s.v}) {
+        for (std::size_t k = 0; k < moment->size(); ++k) {
+          *out += ' ';
+          append(out, (*moment)[k]);
+        }
+      }
+      *out += '\n';
     }
   }
 }
 
-bool Adam::deserialize(std::istream& in) {
-  std::string magic;
+bool Adam::deserialize(number_text::Cursor& in) {
+  constexpr auto kAllow = number_text::NonFinite::kAllow;
   long long t = 0;
   std::size_t num_groups = 0;
-  if (!(in >> magic >> t >> num_groups) || magic != "adam" || t < 0 ||
-      num_groups != groups_.size()) {
+  if (!in.word("adam") || !in.number(&t) || !in.number(&num_groups) ||
+      t < 0 || num_groups != groups_.size()) {
     return false;
   }
   // Parse into staging storage; the optimizer mutates only on full success.
@@ -94,22 +95,21 @@ bool Adam::deserialize(std::istream& in) {
   std::vector<std::vector<State>> staged(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) {
     std::size_t num_params = 0;
-    if (!parse_double(in, lrs[g]) || !(in >> num_params) ||
+    if (!in.number(&lrs[g], kAllow) || !in.number(&num_params) ||
         num_params != groups_[g].params.size()) {
       return false;
     }
     staged[g].reserve(num_params);
     for (std::size_t i = 0; i < num_params; ++i) {
       std::size_t rows = 0, cols = 0;
-      if (!(in >> rows >> cols)) return false;
+      if (!in.number(&rows) || !in.number(&cols)) return false;
       const Parameter& p = *groups_[g].params[i];
       if (rows != p.value.rows() || cols != p.value.cols()) return false;
       State s{Matrix(rows, cols), Matrix(rows, cols)};
-      for (std::size_t k = 0; k < s.m.size(); ++k) {
-        if (!parse_double(in, s.m[k])) return false;
-      }
-      for (std::size_t k = 0; k < s.v.size(); ++k) {
-        if (!parse_double(in, s.v[k])) return false;
+      for (Matrix* moment : {&s.m, &s.v}) {
+        for (std::size_t k = 0; k < moment->size(); ++k) {
+          if (!in.number(&(*moment)[k], kAllow)) return false;
+        }
       }
       staged[g].push_back(std::move(s));
     }

@@ -6,10 +6,14 @@
 // within a single Adam instance — exactly PyTorch's param_groups mechanism.
 #pragma once
 
-#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "autodiff/tape.h"
+
+namespace sqvae::number_text {
+class Cursor;
+}  // namespace sqvae::number_text
 
 namespace sqvae::nn {
 
@@ -45,18 +49,20 @@ class Adam {
   /// Global step count (number of step() calls applied so far).
   long long step_count() const { return t_; }
 
-  /// Writes the full optimizer state — step count, per-group learning
+  /// Appends the full optimizer state — step count, per-group learning
   /// rates, and per-parameter first/second moments — as whitespace-
-  /// separated text with max_digits10 precision, so serialize/deserialize
-  /// round trips are bit-exact for doubles. Checkpoint v2 embeds this
-  /// block; a resumed run's Adam is indistinguishable from one that never
-  /// stopped.
-  void serialize(std::ostream& os) const;
+  /// separated text through common/number_text.h (shortest round-trip
+  /// form), so serialize/deserialize round trips are bit-exact for
+  /// doubles. Checkpoint v2 embeds this block; a resumed run's Adam is
+  /// indistinguishable from one that never stopped.
+  void serialize(std::string* out) const;
 
-  /// Restores state written by serialize(). The group/parameter shape
-  /// structure must match this optimizer's; on any mismatch or parse error
-  /// the optimizer is left untouched and false is returned.
-  bool deserialize(std::istream& in);
+  /// Restores state written by serialize() (or by the max_digits10 writer
+  /// before it), reading from `in`. The group/parameter shape structure
+  /// must match this optimizer's; on any mismatch or parse error the
+  /// optimizer is left untouched and false is returned. Non-finite moments
+  /// load, like every checkpoint value.
+  bool deserialize(number_text::Cursor& in);
 
  private:
   struct State {

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "common/number_text.h"
+
 namespace sqvae::qsim {
 
 Circuit::Circuit(int num_qubits) : num_qubits_(num_qubits) {
@@ -115,7 +117,9 @@ std::string Circuit::to_string() const {
       if (op.param.is_slot()) {
         os << " theta=p[" << op.param.index << "]";
       } else {
-        os << " theta=" << op.param.constant;
+        // Shortest round-trip form: circuit_from_text restores the exact
+        // angle.
+        os << " theta=" << number_text::to_text(op.param.constant);
       }
     }
     os << '\n';

@@ -69,6 +69,9 @@ void emit_op(std::ostringstream& os, const GateOp& op,
 std::string qasm_body(const Circuit& circuit,
                       const std::vector<double>& params, bool measurements) {
   std::ostringstream os;
+  // Not common/number_text.h: OpenQASM 2 real literals need a decimal
+  // point, and the shortest round-trip form drops it ("1e-07").
+  // lint-allow(number-text): QASM real literals need a decimal point
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "OPENQASM 2.0;\n";
   os << "include \"qelib1.inc\";\n";

@@ -2,6 +2,9 @@
 
 #include <map>
 #include <sstream>
+#include <string_view>
+
+#include "common/number_text.h"
 
 namespace sqvae::qsim {
 
@@ -40,6 +43,10 @@ bool split_kv(const std::string& token, std::string* key,
   return true;
 }
 
+bool read_int(std::string_view text, int* out) {
+  return number_text::parse(text, out) == number_text::Error::kNone;
+}
+
 }  // namespace
 
 std::optional<Circuit> circuit_from_text(const std::string& text) {
@@ -75,27 +82,29 @@ std::optional<Circuit> circuit_from_text(const std::string& text) {
     while (ls >> token) {
       std::string key, value;
       if (!split_kv(token, &key, &value)) return std::nullopt;
-      try {
-        if (key == "t") {
-          target = std::stoi(value);
-        } else if (key == "c") {
-          control = std::stoi(value);
-        } else if (key == "theta") {
-          saw_theta = true;
-          if (value.size() > 3 && value.rfind("p[", 0) == 0 &&
-              value.back() == ']') {
-            param = Param::slot(
-                std::stoi(value.substr(2, value.size() - 3)));
-            if (param.index < 0) return std::nullopt;
-          } else {
-            param = Param::value(std::stod(value));
-          }
+      // Every number must be the whole value: "t=1x", "theta=0.5abc" and
+      // a non-finite angle ("nan", "inf") are malformed.
+      bool ok = false;
+      if (key == "t") {
+        ok = read_int(value, &target);
+      } else if (key == "c") {
+        ok = read_int(value, &control);
+      } else if (key == "theta") {
+        saw_theta = true;
+        if (value.size() > 3 && value.rfind("p[", 0) == 0 &&
+            value.back() == ']') {
+          int slot = -1;
+          ok = read_int(std::string_view(value).substr(2, value.size() - 3),
+                        &slot) &&
+               slot >= 0;
+          param = Param::slot(slot);
         } else {
-          return std::nullopt;
+          double theta = 0.0;
+          ok = number_text::parse(value, &theta) == number_text::Error::kNone;
+          param = Param::value(theta);
         }
-      } catch (const std::exception&) {
-        return std::nullopt;
       }
+      if (!ok) return std::nullopt;
     }
     if (target < 0 || target >= num_qubits) return std::nullopt;
     if (control >= num_qubits || control == target) return std::nullopt;

@@ -1,8 +1,6 @@
 #include "serve/loaded_model.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "models/baseline_quantum.h"
 #include "models/checkpoint.h"
@@ -102,14 +100,12 @@ std::shared_ptr<const LoadedModel> LoadedModel::from_checkpoint_text(
 
 std::shared_ptr<const LoadedModel> LoadedModel::from_checkpoint_file(
     const ModelSpec& spec, const std::string& path, std::string* error) {
-  std::ifstream f(path);
-  if (!f) {
+  std::string text;
+  if (!models::read_file(path, &text)) {
     if (error != nullptr) *error = "cannot read checkpoint: " + path;
     return nullptr;
   }
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  return from_checkpoint_text(spec, buffer.str(), error);
+  return from_checkpoint_text(spec, text, error);
 }
 
 std::shared_ptr<const LoadedModel> LoadedModel::from_model(

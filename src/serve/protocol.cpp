@@ -1,15 +1,9 @@
 #include "serve/protocol.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 
-#include "common/parse.h"
+#include "common/number_text.h"
 
 namespace sqvae::serve {
 
@@ -56,32 +50,20 @@ class Scanner {
     return pos_ < text_.size() && text_[pos_++] == '"';
   }
 
+  /// Non-finite values are rejected (the wire never opts in): "nan" and
+  /// "inf" are not JSON, and echoing the NaN outputs they produce would
+  /// make the *response* invalid JSON too. Overflowing literals such as
+  /// 1e999 fail as out of range.
   bool number_value(double* out) {
     skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    *out = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
+    return advance(number_text::parse_prefix(cursor(), end(), out));
   }
 
   /// Full-range uint64 (seed/id): going through a double would corrupt
-  /// values above 2^53 and overflow to UB at 2^64.
+  /// values above 2^53. A sign or a value past 2^64 - 1 is malformed.
   bool uint_value(std::uint64_t* out) {
     skip_ws();
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return false;  // also rejects the sign strtoull would wrap around
-    }
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(begin, &end, 10);
-    if (end == begin || errno == ERANGE) return false;
-    pos_ += static_cast<std::size_t>(end - begin);
-    *out = v;
-    return true;
+    return advance(number_text::parse_prefix(cursor(), end(), out));
   }
 
   bool array_value(std::vector<double>* out) {
@@ -90,10 +72,7 @@ class Scanner {
     if (eat(']')) return true;
     while (true) {
       double v = 0.0;
-      // Non-finite payloads (strtod accepts "nan"/"inf", and overflow
-      // yields inf) are rejected: they are not JSON, and echoing the
-      // resulting NaN outputs would make the *response* invalid JSON too.
-      if (!number_value(&v) || !std::isfinite(v)) return false;
+      if (!number_value(&v)) return false;
       out->push_back(v);
       if (eat(']')) return true;
       if (!eat(',')) return false;
@@ -128,6 +107,15 @@ class Scanner {
   }
 
  private:
+  const char* cursor() const { return text_.data() + pos_; }
+  const char* end() const { return text_.data() + text_.size(); }
+
+  bool advance(const number_text::Parsed& parsed) {
+    if (parsed.error != number_text::Error::kNone) return false;
+    pos_ = static_cast<std::size_t>(parsed.end - text_.data());
+    return true;
+  }
+
   const std::string& text_;
   std::size_t pos_ = 0;
 };
@@ -258,21 +246,28 @@ bool parse_request_line(const std::string& line, WireRequest* out,
 
 std::string format_response(const WireRequest& request,
                             const InferenceResult& result) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "{\"ok\": " << (result.ok ? "true" : "false");
-  if (request.has_id) os << ", \"id\": " << request.id;
+  std::string out;
+  // A value's shortest form is at most 24 characters, so an ok line is one
+  // allocation.
   if (result.ok) {
-    os << ", \"op\": \"" << request.op << "\", \"y\": [";
-    for (std::size_t i = 0; i < result.values.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << result.values[i];
-    }
-    os << "]}";
-  } else {
-    os << ", \"error\": \"" << escape_json(result.error) << "\"}";
+    out.reserve(64 + request.op.size() + result.values.size() * (24 + 2));
   }
-  return os.str();
+  out += result.ok ? "{\"ok\": true" : "{\"ok\": false";
+  if (request.has_id) {
+    out += ", \"id\": ";
+    number_text::append(&out, request.id);
+  }
+  if (!result.ok) {
+    out += ", \"error\": \"" + escape_json(result.error) + "\"}";
+    return out;
+  }
+  out += ", \"op\": \"" + request.op + "\", \"y\": [";
+  for (std::size_t i = 0; i < result.values.size(); ++i) {
+    if (i > 0) out += ", ";
+    number_text::append(&out, result.values[i]);
+  }
+  out += "]}";
+  return out;
 }
 
 std::string format_parse_error(const std::string& error) {

@@ -19,8 +19,11 @@
 // The parser accepts the JSON subset the protocol needs — one flat object
 // of string / integer / number-array values, no nesting, no string
 // escapes — and ignores unknown keys so clients may annotate requests.
-// Values are printed with max_digits10, so piping the same requests twice
-// (or through --reference) diffs byte-identical when the math is.
+// Numbers go through common/number_text.h both ways: values are printed in
+// the shortest form that reads back to the same double, so piping the
+// same requests twice (or through --reference) diffs byte-identical when
+// the math is. Number literals follow JSON: a leading '+', hex, nan/inf
+// and values that overflow or underflow to zero are rejected.
 #pragma once
 
 #include <cstdint>

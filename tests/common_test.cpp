@@ -184,6 +184,50 @@ TEST(Flags, RejectsUnknownAndMalformed) {
   EXPECT_THROW(flags.parse(2, positional), std::invalid_argument);
 }
 
+TEST(Flags, NumberValuesMustBeWholeFiniteNumbers) {
+  struct Row {
+    const char* arg;
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"--n=5", true},         {"--n=-3", true},
+      {"--n=5x", false},       {"--n=3.7", false},
+      {"--n=", false},         {"--n=+5", false},
+      {"--lr=0.01", true},     {"--lr=25", true},
+      {"--lr=1e-3", true},     {"--lr=1e+06", true},
+      {"--lr=0.01abc", false}, {"--lr=nan", false},
+      {"--lr=inf", false},     {"--lr=1e400", false},
+      {"--lr= 1", false},      {"--lr=0x10", false},
+  };
+  for (const Row& row : rows) {
+    Flags flags;
+    flags.add_int("n", 1, "an int");
+    flags.add_double("lr", 0.5, "a double");
+    const char* argv[] = {"prog", row.arg};
+    if (row.accepted) {
+      EXPECT_NO_THROW(flags.parse(2, argv)) << row.arg;
+    } else {
+      EXPECT_THROW(flags.parse(2, argv), std::invalid_argument) << row.arg;
+    }
+  }
+  Flags flags;
+  flags.add_int("n", 1, "an int");
+  flags.add_double("lr", 0.5, "a double");
+  const char* argv[] = {"prog", "--n=-3", "--lr=1e-3"};
+  ASSERT_TRUE(flags.parse(3, argv));
+  EXPECT_EQ(flags.get_int("n"), -3);
+  EXPECT_EQ(flags.get_double("lr"), 1e-3);
+}
+
+TEST(Flags, DoubleDefaultsKeepEveryDigit) {
+  Flags flags;
+  flags.add_double("third", 1.0 / 3, "a third");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(flags.parse(1, argv));
+  EXPECT_EQ(flags.get_double("third"), 1.0 / 3);
+  EXPECT_NE(flags.usage("prog").find("0.3333333333333333"), std::string::npos);
+}
+
 TEST(Flags, HelpReturnsFalse) {
   Flags flags;
   flags.add_int("count", 5, "a count");

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numbers>
+#include <string>
 
 #include "common/rng.h"
 #include "qsim/density_matrix.h"
@@ -128,6 +131,20 @@ TEST(Serialize, RoundTripPreservesCircuit) {
   EXPECT_EQ(circuit_to_text(*parsed), text);
 }
 
+TEST(Serialize, ConstantAnglesRoundTripBitExactly) {
+  for (const double theta : {std::numbers::pi / 3, 1e-300, -0.0, 0.1}) {
+    Circuit c(2);
+    c.ry(0, Param::value(theta)).crz(0, 1, Param::value(-theta));
+    const auto parsed = circuit_from_text(circuit_to_text(c));
+    ASSERT_TRUE(parsed.has_value()) << theta;
+    ASSERT_EQ(parsed->num_ops(), 2u);
+    const double back = parsed->ops()[0].param.constant;
+    EXPECT_EQ(std::memcmp(&back, &theta, sizeof(theta)), 0) << theta;
+    EXPECT_EQ(parsed->ops()[1].param.constant, -theta);
+    EXPECT_EQ(circuit_to_text(*parsed), circuit_to_text(c));
+  }
+}
+
 TEST(Serialize, EntanglingLayersRoundTrip) {
   Circuit c(5);
   c.angle_embedding(0);
@@ -153,6 +170,17 @@ TEST(Serialize, RejectsMalformedInput) {
   EXPECT_FALSE(
       circuit_from_text("qubits 2\nRY t=0 theta=p[-1]\n").has_value());
   EXPECT_FALSE(circuit_from_text("qubits 2\nRY t=0 theta=abc\n").has_value());
+  // Each number must be the whole value, and angles must be finite.
+  for (const char* bad : {"0.5abc", "nan", "inf", "-inf", "1e400", "+0.5",
+                          "p[1x]"}) {
+    EXPECT_FALSE(circuit_from_text(std::string("qubits 2\nRY t=0 theta=") +
+                                   bad + "\n")
+                     .has_value())
+        << bad;
+  }
+  EXPECT_FALSE(circuit_from_text("qubits 2\nRY t=0x theta=1\n").has_value());
+  EXPECT_FALSE(
+      circuit_from_text("qubits 2\nCNOT c=1.5 t=0\n").has_value());
 }
 
 }  // namespace

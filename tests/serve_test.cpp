@@ -553,14 +553,42 @@ TEST(Protocol, RejectsMalformedLines) {
   EXPECT_NE(error.find("missing"), std::string::npos);
   EXPECT_FALSE(serve::parse_request_line(
       "{\"op\": \"encode\"} trailing", &request, &error));
-  // Non-finite payload values are not JSON and are rejected, including
-  // literals strtod would accept and overflow-to-inf.
+}
+
+TEST(Protocol, NumbersFollowJson) {
+  // One row per literal: whether the wire accepts it as a payload value.
+  // Non-finite and overflowing values are not JSON, and echoing the NaN
+  // outputs they produce would make the response invalid JSON too. The
+  // last three rows were accepted before the number codec (strtod read
+  // "+1.5" as 1.5, "0x1p3" as 8 and "1e-400" as 0).
+  struct Row {
+    const char* literal;
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"0", true},       {"-0", true},     {"1.5", true},
+      {"-2.5e-1", true}, {"1E+3", true},   {"5e-324", true},
+      {"nan", false},    {"inf", false},   {"-inf", false},
+      {"1e999", false},  {"+1.5", false},  {"0x1p3", false},
+      {"1e-400", false},
+  };
+  for (const Row& row : rows) {
+    serve::WireRequest request;
+    std::string error;
+    const std::string line =
+        std::string("{\"op\": \"encode\", \"x\": [") + row.literal + "]}";
+    EXPECT_EQ(serve::parse_request_line(line, &request, &error), row.accepted)
+        << row.literal;
+  }
+  // Unknown keys are skipped, but their numbers still have to be JSON.
+  serve::WireRequest request;
+  std::string error;
+  EXPECT_TRUE(serve::parse_request_line(
+      "{\"op\": \"encode\", \"note\": 1e5, \"x\": [1]}", &request, &error));
   EXPECT_FALSE(serve::parse_request_line(
-      "{\"op\": \"encode\", \"x\": [nan]}", &request, &error));
+      "{\"op\": \"encode\", \"note\": inf, \"x\": [1]}", &request, &error));
   EXPECT_FALSE(serve::parse_request_line(
-      "{\"op\": \"encode\", \"x\": [inf]}", &request, &error));
-  EXPECT_FALSE(serve::parse_request_line(
-      "{\"op\": \"encode\", \"x\": [1e999]}", &request, &error));
+      "{\"op\": \"encode\", \"seed\": +5, \"x\": [1]}", &request, &error));
 }
 
 }  // namespace

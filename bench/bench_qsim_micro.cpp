@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/number_text.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_budget.h"
@@ -290,6 +291,101 @@ AbRow run_ab(int qubits, int layers, int batch, int reps) {
   row.naive_ms = median_ms(naive_samples);
   row.fused_ms = median_ms(fused_samples);
   row.speedup = row.naive_ms / row.fused_ms;
+  return row;
+}
+
+// --- Adjoint A/B: interpreter oracle vs the executor's plan walk. --------
+//
+// The training backward pass of every QuantumLayer: the gradient of a
+// cotangent-weighted <Z> readout of an amplitude-embedded state through
+// `layers` entangling layers. One side loops qsim::adjoint_gradient (the
+// per-gate interpreter sweep, the correctness oracle); the other runs
+// CircuitExecutor::adjoint_batch (fused forward, per-plan-step reverse
+// walk with one cross-matrix reduction per parameterized step). Both run
+// at a thread budget of 1, so the times compare the algorithms, not the
+// batch loop's threads. max_grad_diff is the largest absolute difference
+// over all slot gradients and initial-state cotangents of the batch; the
+// CI gate requires it <= 1e-10 on any hardware.
+
+struct AdjointAbRow {
+  int qubits;
+  int layers;
+  int batch;
+  int params;
+  std::size_t circuit_ops;
+  std::size_t plan_ops;
+  double oracle_ms;
+  double plan_ms;
+  double speedup;
+  double max_grad_diff;
+};
+
+AdjointAbRow run_adjoint_ab(int qubits, int layers, int batch, int reps) {
+  Rng rng(29);
+  Circuit c(qubits);
+  c.strongly_entangling_layers(layers, 0);
+  const CircuitExecutor exec(c);
+  const std::vector<double> weights = random_params(c.num_param_slots(), rng);
+  const std::size_t n = static_cast<std::size_t>(batch);
+  const std::vector<std::vector<double>> params(n, weights);
+  std::vector<Statevector> initials;
+  std::vector<std::vector<double>> diags;
+  initials.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(std::size_t{1} << qubits);
+    for (double& v : x) v = rng.uniform(0.0, 1.0);
+    initials.push_back(amplitude_embedding(x, qubits));
+    std::vector<double> cot(static_cast<std::size_t>(qubits));
+    for (double& v : cot) v = rng.uniform(-1.0, 1.0);
+    diags.push_back(weighted_z_diagonal(qubits, cot));
+  }
+
+  const thread_budget::Scope serial(1);
+  AdjointAbRow row{};
+  row.qubits = qubits;
+  row.layers = layers;
+  row.batch = batch;
+  row.params = c.num_param_slots();
+  row.circuit_ops = exec.num_circuit_ops();
+  row.plan_ops = exec.num_plan_ops();
+
+  // Warm-up plus the recorded agreement check.
+  const std::vector<AdjointResult> plan =
+      exec.adjoint_batch(params, initials, diags);
+  for (std::size_t i = 0; i < n; ++i) {
+    const AdjointResult ref =
+        adjoint_gradient(c, params[i], initials[i], diags[i]);
+    for (std::size_t k = 0; k < ref.param_grads.size(); ++k) {
+      row.max_grad_diff =
+          std::max(row.max_grad_diff,
+                   std::abs(ref.param_grads[k] - plan[i].param_grads[k]));
+    }
+    for (std::size_t j = 0; j < ref.initial_lambda.size(); ++j) {
+      row.max_grad_diff =
+          std::max(row.max_grad_diff,
+                   std::abs(ref.initial_lambda[j] - plan[i].initial_lambda[j]));
+    }
+  }
+
+  std::vector<double> oracle_samples, plan_samples;
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch watch;
+    for (std::size_t i = 0; i < n; ++i) {
+      const AdjointResult res =
+          adjoint_gradient(c, params[i], initials[i], diags[i]);
+      benchmark::DoNotOptimize(res.param_grads.data());
+    }
+    oracle_samples.push_back(watch.millis());
+
+    watch.reset();
+    const std::vector<AdjointResult> res =
+        exec.adjoint_batch(params, initials, diags);
+    benchmark::DoNotOptimize(res.data());
+    plan_samples.push_back(watch.millis());
+  }
+  row.oracle_ms = median_ms(oracle_samples);
+  row.plan_ms = median_ms(plan_samples);
+  row.speedup = row.oracle_ms / row.plan_ms;
   return row;
 }
 
@@ -575,6 +671,7 @@ ScalingRow run_scaling(int qubits, int layers, int reps) {
 }
 
 void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
+                   const std::vector<AdjointAbRow>& adjoint_rows,
                    const std::vector<TrajAbRow>& traj_rows,
                    const std::vector<KernelAbRow>& kernel_rows,
                    const std::vector<ScalingRow>& scaling_rows) {
@@ -609,6 +706,26 @@ void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
   }
   std::fprintf(f,
                "  ],\n"
+               "  \"adjoint_ab\": {\n"
+               "    \"description\": \"qsim::adjoint_gradient (per-gate "
+               "interpreter sweep) vs CircuitExecutor::adjoint_batch "
+               "(per-plan-step reverse walk), amplitude-embedded input, "
+               "weighted <Z> readout, thread budget 1\",\n"
+               "    \"rows\": [\n");
+  for (std::size_t i = 0; i < adjoint_rows.size(); ++i) {
+    const AdjointAbRow& r = adjoint_rows[i];
+    std::fprintf(f,
+                 "      {\"qubits\": %d, \"layers\": %d, \"batch\": %d, "
+                 "\"params\": %d, \"circuit_ops\": %zu, \"plan_ops\": %zu, "
+                 "\"oracle_ms\": %.4f, \"plan_ms\": %.4f, "
+                 "\"speedup\": %.3f, \"max_grad_diff\": %.3e}%s\n",
+                 r.qubits, r.layers, r.batch, r.params, r.circuit_ops,
+                 r.plan_ops, r.oracle_ms, r.plan_ms, r.speedup,
+                 r.max_grad_diff, i + 1 < adjoint_rows.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "    ]\n"
+               "  },\n"
                "  \"trajectory_ab\": {\n"
                "    \"description\": \"TrajectoryBackend Monte-Carlo noisy"
                " <Z> estimate vs exact DensityMatrix channel\",\n"
@@ -693,7 +810,12 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::max(1, std::atoi(argv[i] + 7));
+      if (number_text::parse(argv[i] + 7, &reps) != number_text::Error::kNone) {
+        std::fprintf(stderr, "--reps wants an integer, got '%s'\n",
+                     argv[i] + 7);
+        return 2;
+      }
+      reps = std::max(1, reps);
     } else if (std::strcmp(argv[i], "--ab_only") == 0) {
       skip_gbench = true;  // fast path for CI and the checked-in report
     } else {
@@ -708,6 +830,12 @@ int main(int argc, char** argv) {
   std::vector<AbRow> rows;
   for (const int qubits : {8, 9, 10}) {
     rows.push_back(run_ab(qubits, /*layers=*/5, /*batch=*/64, reps));
+  }
+  // The ligand patch circuit (7 qubits, 5 layers) and a 10-qubit one.
+  std::vector<AdjointAbRow> adjoint_rows;
+  for (const int qubits : {7, 10}) {
+    adjoint_rows.push_back(
+        run_adjoint_ab(qubits, /*layers=*/5, /*batch=*/32, reps));
   }
   std::vector<TrajAbRow> traj_rows;
   for (const int qubits : {6, 8}) {
@@ -728,7 +856,8 @@ int main(int argc, char** argv) {
   for (const int qubits : {12, 14, 16, 18, 20, 22}) {
     scaling_rows.push_back(run_scaling(qubits, /*layers=*/5, reps));
   }
-  write_ab_json(json_path, rows, traj_rows, kernel_rows, scaling_rows);
+  write_ab_json(json_path, rows, adjoint_rows, traj_rows, kernel_rows,
+                scaling_rows);
   std::printf("== executor batch A/B (batch=64, 5 layers) ==\n");
   for (const AbRow& r : rows) {
     std::printf(
@@ -736,6 +865,16 @@ int main(int argc, char** argv) {
         "speedup %.2fx\n",
         r.qubits, r.circuit_ops, r.plan_ops, r.naive_ms, r.fused_ms,
         r.speedup);
+  }
+  std::printf(
+      "== adjoint A/B: interpreter oracle vs plan walk (batch=32, 5 layers, "
+      "1 thread) ==\n");
+  for (const AdjointAbRow& r : adjoint_rows) {
+    std::printf(
+        "qubits=%2d  params %d  oracle %8.3f ms  plan %8.3f ms  speedup "
+        "%.2fx  max |dgrad| %.2e\n",
+        r.qubits, r.params, r.oracle_ms, r.plan_ms, r.speedup,
+        r.max_grad_diff);
   }
   std::printf(
       "== trajectory backend vs density matrix (p=0.002, 1000 "

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/number_text.h"
 
 #ifdef __linux__
 
@@ -224,7 +225,11 @@ std::string query_stats(int port) {
 std::uint64_t stats_field(const std::string& stats, const std::string& key) {
   const std::size_t pos = stats.find("\"" + key + "\": ");
   if (pos == std::string::npos) return ~0ull;
-  return std::strtoull(stats.c_str() + pos + key.size() + 4, nullptr, 10);
+  // The value runs up to the next ',' or '}'.
+  std::uint64_t v = ~0ull;
+  sqvae::number_text::parse_prefix(stats.data() + pos + key.size() + 4,
+                                   stats.data() + stats.size(), &v);
+  return v;
 }
 
 /// One in-band Prometheus scrape on a fresh connection: reads the

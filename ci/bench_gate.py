@@ -14,6 +14,11 @@ small containers:
     dispatched SIMD kernels, so on a single core only the fusion win
     remains (~1.5-2x measured); with >= 4 cores the OpenMP batch path
     clears 2.0x with margin. Bars: >= 2.0x at >= 4 threads, else >= 1.3x.
+  * adjoint A/B (interpreter adjoint_gradient vs the executor's plan
+    walk, adjoint_batch): max_grad_diff <= 1e-10 in every row on ANY
+    hardware — both compute the same gradients, so a larger difference is
+    a correctness bug. The times are recorded only; a speed bar waits for
+    a recalibration of the bars on >= 4-core runners.
   * trajectory A/B at >= 8 qubits: >= 5.0x over the exact density matrix
     (checked-in: several hundred x — the trajectory side is vectorised,
     the density channel is not).
@@ -63,6 +68,7 @@ import sys
 KERNEL_GATED_CLASSES = {"single", "single_t0", "controlled", "diag"}
 KERNEL_MIN_SPEEDUP = 1.5
 KERNEL_MIN_QUBITS = 8
+ADJOINT_MAX_GRAD_DIFF = 1e-10
 
 
 def host_has_avx2_fma():
@@ -87,6 +93,12 @@ def gate_qsim(report, failures):
                 f"executor A/B at {row['qubits']} qubits: "
                 f"{row['speedup']:.2f}x < {executor_bar}x "
                 f"({threads} hardware threads)")
+    for row in report["adjoint_ab"]["rows"]:
+        if not row["max_grad_diff"] <= ADJOINT_MAX_GRAD_DIFF:
+            failures.append(
+                f"adjoint A/B at {row['qubits']} qubits: plan-walk "
+                f"gradients differ from the interpreter by "
+                f"{row['max_grad_diff']:.3g} > {ADJOINT_MAX_GRAD_DIFF}")
     for row in report["trajectory_ab"]["rows"]:
         if row["qubits"] >= 8 and row["speedup"] < 5.0:
             failures.append(f"trajectory A/B at {row['qubits']} qubits: "
@@ -205,6 +217,8 @@ def main(argv):
         return 1
     print("bench gate passed:",
           "executor", [round(r["speedup"], 2) for r in qsim["rows"]],
+          "adjoint",
+          [round(r["speedup"], 2) for r in qsim["adjoint_ab"]["rows"]],
           "trajectory",
           [round(r["speedup"], 2) for r in qsim["trajectory_ab"]["rows"]],
           "kernel(" + qsim["kernel_ab"]["isa"] + ")",

@@ -39,12 +39,16 @@ compiler nor TSan can catch:
                    heap-allocated shared state per request. Tests block
                    through tests/serve_call.h instead.
   number-text      strtod / strtof / strtold, std::stod / stof / stold,
-                   atof, and max_digits10 outside
-                   src/common/number_text.{h,cpp}. Numbers cross between
-                   binary and text in one codec (shortest round-trip
-                   to_chars, whole-token from_chars, non-finite values
-                   only on opt-in); strtod reads a prefix, accepts hex and
-                   a leading '+', and folds underflow to 0, and stream
+                   atof, max_digits10, and the integer prefix parsers
+                   strtol / strtoul / strtoll / strtoull, atoi / atol /
+                   atoll and std::stoi / stol / stoll / stoul / stoull
+                   outside src/common/number_text.{h,cpp}. Numbers cross
+                   between binary and text in one codec (shortest
+                   round-trip to_chars, whole-token from_chars, non-finite
+                   values only on opt-in); strtod reads a prefix, accepts
+                   hex and a leading '+', and folds underflow to 0, the
+                   integer parsers read a prefix too ("32k" is 32, "1e6"
+                   is 1) and strtoull wraps "-1" to 2^64-1, and stream
                    formatting is 5-7x slower than to_chars.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
@@ -112,7 +116,8 @@ FUTURE_API_RE = re.compile(
 NUM_THREADS_RE = re.compile(r"\bnum_threads\s*\(")
 
 NUMBER_TEXT_RE = re.compile(
-    r"\b(?:strto(?:d|f|ld)|sto(?:d|f|ld)|atof|max_digits10)\b")
+    r"\b(?:strto(?:d|f|ld|l|ul|ll|ull)|sto(?:d|f|ld|i|l|ll|ul|ull)|"
+    r"ato(?:f|i|l|ll)|max_digits10)\b")
 
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
 
@@ -421,7 +426,16 @@ SELF_TEST_CASES = [
      "os << std::setprecision(std::numeric_limits<double>::max_digits10);",
      set(), set()),
     ("codec_ok", "number_text::append(&out, v);", set(), set()),
-    ("strtoull_ok", "auto n = std::strtoull(v, &end, 10);", set(), set()),
+    ("strtoull", "auto n = std::strtoull(v, &end, 10);", set(),
+     {"number-text"}),
+    ("strtol", "const long n = strtol(v, &end, 10);", set(),
+     {"number-text"}),
+    ("atoi", "reps = std::max(1, std::atoi(argv[i] + 7));", set(),
+     {"number-text"}),
+    ("stoi", "int port = std::stoi(text);", set(), {"number-text"}),
+    ("stoull", "auto n = std::stoull(text);", set(), {"number-text"}),
+    ("integer_codec_ok", "number_text::parse(text, &count);", set(), set()),
+    ("stop_identifier_ok", "bool stole = stolen; stoic();", set(), set()),
     ("stod_in_comment", "// std::stod reads a prefix", set(), set()),
 ]
 

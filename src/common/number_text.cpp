@@ -1,6 +1,8 @@
 #include "common/number_text.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace sqvae::number_text {
 
@@ -54,6 +56,21 @@ Error parse(std::string_view text, double* out, NonFinite non_finite) {
   if (p.end != last) return Error::kTrailing;
   *out = v;
   return Error::kNone;
+}
+
+std::size_t env_setting(const char* name, std::size_t fallback) {
+  const char* text = std::getenv(name);
+  if (text == nullptr || text[0] == '\0') return fallback;
+  std::size_t v = 0;
+  const Error error = parse(std::string_view(text), &v);
+  if (error != Error::kNone) {
+    std::fprintf(stderr,
+                 "%s=%s ignored (%s; expected a non-negative integer), "
+                 "using %zu\n",
+                 name, text, describe(error), fallback);
+    return fallback;
+  }
+  return v;
 }
 
 void Cursor::skip_space() {

@@ -120,6 +120,12 @@ Error parse(std::string_view text, Int* out) {
   return Error::kNone;
 }
 
+/// The environment variable `name` read as a non-negative integer. Unset
+/// or empty keeps `fallback`. Anything but exactly one non-negative
+/// integer ("-1", "32k", "1e6") also keeps it, after one line on stderr
+/// naming the variable.
+std::size_t env_setting(const char* name, std::size_t fallback);
+
 /// Reads whitespace-separated tokens from a text buffer — the checkpoint
 /// layout. Whitespace is the C locale's isspace set. Every number must be
 /// a whole token, so "3abc" fails where an istream would read 3.

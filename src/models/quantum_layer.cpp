@@ -132,7 +132,11 @@ ad::Var QuantumLayer::forward(ad::Tape& tape, ad::Var input) {
   auto backward = [this, input, w](ad::Tape& t, const Matrix& out_grad) {
     const Matrix& in_v = t.value(input);
     const std::size_t batch = in_v.rows();
-    Matrix grad_in(batch, static_cast<std::size_t>(config_.input_dim));
+    // A constant input (every SQ encoder patch reads a slice of the batch)
+    // has no reader for its cotangent: skip the per-row input gradients.
+    const bool input_grad = t.requires_grad(input);
+    Matrix grad_in(input_grad ? batch : 0,
+                   static_cast<std::size_t>(config_.input_dim));
     Matrix grad_w(1, weights_.value.size());
 
     // One adjoint sweep per sample, run as a batch through the executor.
@@ -163,6 +167,7 @@ ad::Var QuantumLayer::forward(ad::Tape& tape, ad::Var input) {
             res.param_grads[static_cast<std::size_t>(weight_slot_offset_) + k];
       }
       // Input gradients.
+      if (!input_grad) continue;
       if (config_.input == QuantumLayerConfig::InputMode::kAngle) {
         for (int q = 0; q < config_.num_qubits; ++q) {
           grad_in(r, static_cast<std::size_t>(q)) =
@@ -176,7 +181,7 @@ ad::Var QuantumLayer::forward(ad::Tape& tape, ad::Var input) {
         for (std::size_t c = 0; c < dx.size(); ++c) grad_in(r, c) = dx[c];
       }
     }
-    t.accum_grad(input, grad_in);
+    if (input_grad) t.accum_grad(input, grad_in);
     t.accum_grad(w, grad_w);
   };
 

@@ -32,6 +32,29 @@ void apply_op_derivative(Statevector& state, const GateOp& op, double theta) {
   }
 }
 
+/// Reverse half of the per-gate sweep. On entry `psi` holds the final
+/// state U|phi0> and `lambda` the vector O psi. On exit `psi` holds the
+/// initial state, `lambda` holds U^dag O psi, and `param_grads` has
+/// accumulated dE/d(slot) for every parameterized slot-bound gate.
+void adjoint_reverse_sweep(const std::vector<GateOp>& ops,
+                           const std::vector<double>& params, Statevector& psi,
+                           Statevector& lambda,
+                           std::vector<double>& param_grads) {
+  Statevector mu(psi.num_qubits());
+  for (std::size_t k = ops.size(); k > 0; --k) {
+    const GateOp& op = ops[k - 1];
+    apply_op_dagger(psi, op, params);  // psi is now the state before gate k
+    if (is_parameterized(op.kind) && op.param.is_slot()) {
+      mu = psi;
+      apply_op_derivative(mu, op, resolve_param(op, params));
+      const cplx overlap = Statevector::inner(lambda, mu);
+      param_grads[static_cast<std::size_t>(op.param.index)] +=
+          2.0 * overlap.real();
+    }
+    apply_op_dagger(lambda, op, params);
+  }
+}
+
 }  // namespace
 
 AdjointResult adjoint_gradient(const Circuit& circuit,
@@ -68,25 +91,6 @@ double apply_diag_observable(const std::vector<double>& diag,
   return kernels::active().apply_diag_observable(
       diag.data(), psi.amplitudes().data(), lambda.amplitudes().data(),
       psi.dim());
-}
-
-void adjoint_reverse_sweep(const std::vector<GateOp>& ops,
-                           const std::vector<double>& params, Statevector& psi,
-                           Statevector& lambda,
-                           std::vector<double>& param_grads) {
-  Statevector mu(psi.num_qubits());
-  for (std::size_t k = ops.size(); k > 0; --k) {
-    const GateOp& op = ops[k - 1];
-    apply_op_dagger(psi, op, params);  // psi is now the state before gate k
-    if (is_parameterized(op.kind) && op.param.is_slot()) {
-      mu = psi;
-      apply_op_derivative(mu, op, resolve_param(op, params));
-      const cplx overlap = Statevector::inner(lambda, mu);
-      param_grads[static_cast<std::size_t>(op.param.index)] +=
-          2.0 * overlap.real();
-    }
-    apply_op_dagger(lambda, op, params);
-  }
 }
 
 AdjointResult adjoint_gradient_z_vjp(const Circuit& circuit,

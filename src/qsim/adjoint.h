@@ -18,6 +18,13 @@
 // respect to the *initial state*: dE/dRe(phi0_j) = 2 Re(lambda_j) and
 // dE/dIm(phi0_j) = 2 Im(lambda_j). Hybrid models use this to backpropagate
 // through amplitude embedding into upstream classical layers.
+//
+// adjoint_gradient below runs this loop gate by gate over the interpreter
+// (one derivative matrix, a state copy and an inner product per
+// parameterized gate): it is the oracle. The training path,
+// CircuitExecutor::adjoint_batch (executor.h), runs the same algorithm
+// over the compiled plan, one fused step at a time, and is tested against
+// this one at 1e-10.
 #pragma once
 
 #include <vector>
@@ -63,16 +70,5 @@ std::vector<double> real_initial_gradient(const AdjointResult& result);
 /// must already have psi's dimension (it is typically a copy of psi).
 double apply_diag_observable(const std::vector<double>& diag,
                              const Statevector& psi, Statevector& lambda);
-
-/// Reverse half of the adjoint sweep, exposed so execution engines (see
-/// executor.h) can pair it with their own — e.g. gate-fused — forward pass.
-/// On entry `psi` must hold the final state U|phi0> and `lambda` the vector
-/// O psi. On exit `psi` holds the initial state, `lambda` holds U^dag O psi,
-/// and `param_grads` (length >= the highest referenced slot + 1) has
-/// accumulated dE/d(slot) for every parameterized slot-bound gate.
-void adjoint_reverse_sweep(const std::vector<GateOp>& ops,
-                           const std::vector<double>& params, Statevector& psi,
-                           Statevector& lambda,
-                           std::vector<double>& param_grads);
 
 }  // namespace sqvae::qsim

@@ -2,9 +2,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <utility>
 
+#include "common/number_text.h"
 #include "common/thread_budget.h"
 
 namespace sqvae::qsim {
@@ -25,20 +25,15 @@ double resolve(const Param& p, const std::vector<double>& params) {
 /// Resolves ExecutorOptions::block_qubits: explicit option, else the
 /// SQVAE_BLOCK_QUBITS environment variable, else 15 (2^15 amplitudes =
 /// 512 KiB blocks, sized for a typical L2). Clamped to [8, 24] so a typo
-/// can neither block per-cacheline nor disable blocking entirely.
+/// can neither block per-cacheline nor disable blocking entirely; text
+/// that is not a non-negative integer keeps 15.
 int resolve_block_qubits(int option) {
-  int bq = option;
-  if (bq < 0) {
-    bq = 15;
-    if (const char* v = std::getenv("SQVAE_BLOCK_QUBITS")) {
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end != v && parsed > 0) bq = static_cast<int>(parsed);
-    }
-  }
+  std::size_t bq = option >= 0
+                       ? static_cast<std::size_t>(option)
+                       : number_text::env_setting("SQVAE_BLOCK_QUBITS", 15);
   if (bq < 8) bq = 8;
   if (bq > 24) bq = 24;
-  return bq;
+  return static_cast<int>(bq);
 }
 
 }  // namespace
@@ -58,6 +53,11 @@ CircuitExecutor::CircuitExecutor(const Circuit& circuit,
   std::vector<std::vector<Factor>> pending(
       static_cast<std::size_t>(num_qubits_));
   std::vector<Step> raw;
+  auto make_factor = [](GateKind gate, const Param& param) {
+    Factor f{gate, param};
+    if (!param.is_slot()) f.matrix = gate_matrix(gate, param.constant);
+    return f;
+  };
 
   auto flush = [&](int q) {
     std::vector<Factor>& run = pending[static_cast<std::size_t>(q)];
@@ -102,16 +102,16 @@ CircuitExecutor::CircuitExecutor(const Circuit& circuit,
         s.target = op.target;
         s.control = op.control;
         s.factor_begin = static_cast<int>(factors_.size());
-        factors_.push_back(Factor{op.kind, op.param});
+        factors_.push_back(make_factor(op.kind, op.param));
         s.factor_end = s.factor_begin + 1;
         s.constant = !op.param.is_slot();
-        if (s.constant) s.matrix = gate_matrix(op.kind, op.param.constant);
+        if (s.constant) s.matrix = factors_.back().matrix;
         raw.push_back(s);
         break;
       }
       default:
         pending[static_cast<std::size_t>(op.target)].push_back(
-            Factor{op.kind, op.param});
+            make_factor(op.kind, op.param));
         break;
     }
   }
@@ -251,26 +251,31 @@ void CircuitExecutor::coalesce_diagonal_runs(std::vector<Step> raw) {
   }
 }
 
+const Mat2& CircuitExecutor::factor_matrix(
+    int f, const std::vector<Mat2>& slot_factors) const {
+  const std::size_t i = static_cast<std::size_t>(f);
+  return factors_[i].param.is_slot() ? slot_factors[i] : factors_[i].matrix;
+}
+
 Mat2 CircuitExecutor::bind_step(const Step& s,
-                                const std::vector<double>& params) const {
+                                const std::vector<Mat2>& slot_factors) const {
   Mat2 m = kIdentity;
   // Factor i acts after factor i-1, so it multiplies on the left.
   for (int f = s.factor_begin; f < s.factor_end; ++f) {
-    const Factor& factor = factors_[static_cast<std::size_t>(f)];
-    m = matmul2(gate_matrix(factor.gate, resolve(factor.param, params)), m);
+    m = matmul2(factor_matrix(f, slot_factors), m);
   }
   return m;
 }
 
 void CircuitExecutor::bind_diagonal(const Step& s,
-                                    const std::vector<double>& params,
+                                    const std::vector<Mat2>& slot_factors,
                                     kernels::DiagonalRun& run) const {
   run.clear();
   for (int k = s.diag_begin; k < s.diag_end; ++k) {
     const Step& c = diag_components_[static_cast<std::size_t>(k)];
     const Mat2 m = (c.kind == StepKind::kCZ) ? kIdentity
                    : c.constant              ? c.matrix
-                                             : bind_step(c, params);
+                                             : bind_step(c, slot_factors);
     switch (c.kind) {
       case StepKind::kSingle:
         run.push_factor(c.target, m[0], m[3]);
@@ -290,6 +295,14 @@ void CircuitExecutor::bind_diagonal(const Step& s,
 
 void CircuitExecutor::bind(const std::vector<double>& params,
                            BoundPlan& bound) const {
+  bound.factors.resize(factors_.size());
+  for (std::size_t f = 0; f < factors_.size(); ++f) {
+    const Factor& factor = factors_[f];
+    if (factor.param.is_slot()) {
+      bound.factors[f] =
+          gate_matrix(factor.gate, resolve(factor.param, params));
+    }
+  }
   bound.matrices.resize(plan_.size());
   bound.diag_tables.resize(num_dynamic_diag_);
   for (std::size_t i = 0; i < plan_.size(); ++i) {
@@ -297,11 +310,11 @@ void CircuitExecutor::bind(const std::vector<double>& params,
     switch (s.kind) {
       case StepKind::kSingle:
       case StepKind::kControlled:
-        bound.matrices[i] = s.constant ? s.matrix : bind_step(s, params);
+        bound.matrices[i] = s.constant ? s.matrix : bind_step(s, bound.factors);
         break;
       case StepKind::kDiagonal:
         if (!s.constant) {
-          bind_diagonal(s, params, bound.scratch_run);
+          bind_diagonal(s, bound.factors, bound.scratch_run);
           kernels::build_diagonal_table(
               bound.scratch_run, num_qubits_,
               bound.diag_tables[static_cast<std::size_t>(s.diag_index)]);
@@ -444,6 +457,88 @@ void CircuitExecutor::run_batch(
   }
 }
 
+void CircuitExecutor::accumulate_step_grads(
+    const Step& s, const BoundPlan& bound, const Mat2& m,
+    std::vector<double>& grads) const {
+  // With B_j = F_j ... F_1 (the step's factors through j) and a rotation's
+  // derivative dF_j = G_j F_j, G_j = (-i/2) P_j, the step's derivative
+  // moved to the state before it is U^dag dU/dtheta_j = B_j^dag G_j B_j,
+  // and dE/dtheta_j = 2 Re sum_ab (B_j^dag G_j B_j)_ab M_ab. A controlled
+  // step's derivative lives on the control=|1> block, which is all M sums
+  // over. Diagonal-run components reduce to the Z-weighted entries
+  // Im(M_00 - M_11): their B_j commute with G_j.
+  Mat2 b = kIdentity;
+  for (int f = s.factor_begin; f < s.factor_end; ++f) {
+    const Factor& factor = factors_[static_cast<std::size_t>(f)];
+    b = matmul2(factor_matrix(f, bound.factors), b);
+    if (!factor.param.is_slot() || !is_parameterized(factor.gate)) continue;
+    const Mat2 g =
+        matmul2(dagger(b), matmul2(rotation_generator(factor.gate), b));
+    const cplx overlap = g[0] * m[0] + g[1] * m[1] + g[2] * m[2] + g[3] * m[3];
+    grads[static_cast<std::size_t>(factor.param.index)] +=
+        2.0 * overlap.real();
+  }
+}
+
+void CircuitExecutor::reverse_walk(BoundPlan& bound, Statevector& psi,
+                                   Statevector& lambda,
+                                   std::vector<double>& grads) const {
+  cplx* p = psi.amplitudes().data();
+  cplx* l = lambda.amplitudes().data();
+  const std::size_t dim = psi.dim();
+  const kernels::KernelTable& kt = kernels::table_for(dim);
+  for (std::size_t idx = plan_.size(); idx-- > 0;) {
+    const Step& s = plan_[idx];
+    switch (s.kind) {
+      case StepKind::kSingle: {
+        const Mat2 inv = dagger(bound.matrices[idx]);
+        kt.apply_single(p, dim, inv, s.target);
+        kt.apply_single(l, dim, inv, s.target);
+        if (!s.constant) {
+          accumulate_step_grads(s, bound, kt.cross(l, p, dim, -1, s.target),
+                                grads);
+        }
+        break;
+      }
+      case StepKind::kControlled: {
+        const Mat2 inv = dagger(bound.matrices[idx]);
+        kt.apply_controlled_single(p, dim, inv, s.control, s.target);
+        kt.apply_controlled_single(l, dim, inv, s.control, s.target);
+        if (!s.constant) {
+          accumulate_step_grads(
+              s, bound, kt.cross(l, p, dim, s.control, s.target), grads);
+        }
+        break;
+      }
+      case StepKind::kDiagonal: {
+        const std::size_t di = static_cast<std::size_t>(s.diag_index);
+        const std::vector<cplx>& table =
+            s.constant ? const_diag_tables_[di] : bound.diag_tables[di];
+        bound.dagger_table.resize(table.size());
+        for (std::size_t i = 0; i < table.size(); ++i) {
+          bound.dagger_table[i] = std::conj(table[i]);
+        }
+        kt.apply_diagonal_table(p, dim, bound.dagger_table.data());
+        kt.apply_diagonal_table(l, dim, bound.dagger_table.data());
+        if (s.constant) break;
+        for (int k = s.diag_begin; k < s.diag_end; ++k) {
+          const Step& c = diag_components_[static_cast<std::size_t>(k)];
+          if (c.constant) continue;
+          const int control = c.kind == StepKind::kControlled ? c.control : -1;
+          accumulate_step_grads(
+              c, bound, kt.cross(l, p, dim, control, c.target), grads);
+        }
+        break;
+      }
+      default:
+        // CNOT, CZ and SWAP are their own inverses.
+        apply_step(kt, idx, bound, p, dim, 0);
+        apply_step(kt, idx, bound, l, dim, 0);
+        break;
+    }
+  }
+}
+
 std::vector<AdjointResult> CircuitExecutor::adjoint_batch(
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials,
@@ -476,10 +571,10 @@ std::vector<AdjointResult> CircuitExecutor::adjoint_batch(
       Statevector lambda = psi;
       r.value = apply_diag_observable(diag, psi, lambda);
 
-      // Exact per-gate reverse sweep over the original op list.
+      // Reverse walk over the same plan.
       r.param_grads.assign(static_cast<std::size_t>(num_param_slots_), 0.0);
-      adjoint_reverse_sweep(ops_, params, psi, lambda, r.param_grads);
-      r.initial_lambda = lambda.amplitudes();
+      reverse_walk(bound, psi, lambda, r.param_grads);
+      r.initial_lambda = std::move(lambda.amplitudes());
     }
   }
   return results;

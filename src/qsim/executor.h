@@ -21,18 +21,29 @@
 //   * plan steps whose angles are compile-time constants pre-bind their
 //     matrix (or their diagonal phase table) once; only slot-dependent
 //     steps are re-bound per sample, an O(plan size) pass that is
-//     negligible next to the O(2^n) amplitude kernels.
+//     negligible next to the O(2^n) amplitude kernels. Binding keeps each
+//     slot factor's own matrix next to the fused product.
 //
 // All amplitude kernels go through the runtime-dispatched kernel layer
 // (qsim/kernels.h) — the executor, the naive interpreter, the adjoint
-// reverse sweep, and the stochastic backends share one vectorised code
-// path.
+// oracle, and the stochastic backends share one vectorised code path.
 //
 // `run_batch()` / `adjoint_batch()` execute a whole mini-batch with an
 // OpenMP-parallel loop over samples (each sample owns its statevector, so
-// the loop is embarrassingly parallel). The adjoint sweep uses the fused
-// plan for its forward pass and the exact per-gate reverse sweep of
-// adjoint.h for gradients, so gradients stay slot-exact.
+// the loop is embarrassingly parallel). The adjoint sweep (Jones & Gacon,
+// see adjoint.h) differentiates through the fused plan in both halves:
+// the forward pass runs the plan, and the reverse walk un-applies each
+// plan step from psi and lambda with the dagger of its bound matrix (or
+// the conjugate of its phase table), then takes one cross-matrix
+// reduction M_ab = sum conj(lambda[..a..]) psi[..b..] over the step's
+// target pairs (kernels::KernelTable::cross). Every slot factor's
+// gradient follows from M and the factor matrices kept by the bind —
+// a rotation's derivative is (-i/2) P F — so the reverse half evaluates
+// no sin/cos and costs three kernel calls per parameterized fused or
+// controlled step. It walks plan order over the full array even where
+// the forward pass runs the blocked schedule below. The interpreter's
+// per-gate adjoint_gradient stays the oracle it is tested against
+// (1e-10).
 //
 // ---- cache-blocked schedule (20+ qubit states) ----------------------------
 //
@@ -148,7 +159,9 @@ class CircuitExecutor {
 
   /// One adjoint sweep per sample (see adjoint.h): returns the expectation
   /// value, per-slot gradients, and initial-state cotangent for each sample.
-  /// Forward passes use the fused plan; reverse sweeps are per-gate exact.
+  /// Both halves walk the fused plan: the reverse walk un-applies one plan
+  /// step at a time and takes every slot gradient of the step from one
+  /// cross-matrix reduction. Bit-identical at every thread budget.
   std::vector<AdjointResult> adjoint_batch(
       const std::vector<std::vector<double>>& params_batch,
       const std::vector<Statevector>& initials,
@@ -164,10 +177,12 @@ class CircuitExecutor {
     kDiagonal,  // fused run of diagonal steps -> one elementwise pass
   };
 
-  /// One gate factor of a fused single-qubit run, kept for slot re-binding.
+  /// One gate factor of a fused single-qubit run, kept for slot re-binding
+  /// and for the reverse walk's derivatives.
   struct Factor {
     GateKind gate;
     Param param;
+    Mat2 matrix{};  // pre-bound when `param` is a constant
   };
 
   struct Step {
@@ -192,13 +207,16 @@ class CircuitExecutor {
     Mat2 matrix{};
   };
 
-  /// Per-sample bound state of the plan: slot-dependent step matrices plus
-  /// the expanded phase tables of slot-dependent diagonal runs. Reused
-  /// across samples (one instance per OpenMP thread in the batch loops).
+  /// Per-sample bound state of the plan: slot factor matrices,
+  /// slot-dependent step matrices, and the expanded phase tables of
+  /// slot-dependent diagonal runs. Reused across samples (one instance per
+  /// OpenMP thread in the batch loops).
   struct BoundPlan {
+    std::vector<Mat2> factors;  // indexed like factors_; slot factors only
     std::vector<Mat2> matrices;
     std::vector<std::vector<cplx>> diag_tables;
     kernels::DiagonalRun scratch_run;
+    std::vector<cplx> dagger_table;  // reverse walk: conj of a phase table
   };
 
   /// One group of the blocked schedule: either a run of block-local steps
@@ -208,11 +226,16 @@ class CircuitExecutor {
     std::vector<std::size_t> steps;  // indices into plan_
   };
 
-  /// Computes the matrix of step `s` under `params`.
-  Mat2 bind_step(const Step& s, const std::vector<double>& params) const;
+  /// Factor `f`'s matrix: pre-bound when constant, else the entry of
+  /// `slot_factors` (BoundPlan::factors) bound for this sample.
+  const Mat2& factor_matrix(int f,
+                            const std::vector<Mat2>& slot_factors) const;
+
+  /// The fused matrix of step `s`: the product of its factor matrices.
+  Mat2 bind_step(const Step& s, const std::vector<Mat2>& slot_factors) const;
 
   /// Collapses the component steps of diagonal-run `s` into `run`.
-  void bind_diagonal(const Step& s, const std::vector<double>& params,
+  void bind_diagonal(const Step& s, const std::vector<Mat2>& slot_factors,
                      kernels::DiagonalRun& run) const;
 
   /// Re-binds all slot-dependent step matrices and diagonal tables
@@ -235,6 +258,19 @@ class CircuitExecutor {
   void execute_blocked(const BoundPlan& bound, cplx* amps,
                        std::size_t dim) const;
 
+  /// Reverse half of the adjoint sweep over the plan. On entry psi holds
+  /// the final state and lambda O psi; on exit psi holds the initial
+  /// state, lambda U^dag O psi, and `grads` has accumulated every slot's
+  /// gradient.
+  void reverse_walk(BoundPlan& bound, Statevector& psi, Statevector& lambda,
+                    std::vector<double>& grads) const;
+
+  /// Adds the gradients of step `s`'s slot factors, given the cross matrix
+  /// `m` of lambda and psi taken at the state before the step.
+  void accumulate_step_grads(const Step& s, const BoundPlan& bound,
+                             const Mat2& m,
+                             std::vector<double>& grads) const;
+
   /// True when the step's matrix is diagonal for every parameter value
   /// (all factors are structurally diagonal gates).
   bool is_diagonal_step(const Step& s) const;
@@ -252,7 +288,7 @@ class CircuitExecutor {
 
   int num_qubits_;
   int num_param_slots_;
-  std::vector<GateOp> ops_;  // original gate list (exact adjoint reverse)
+  std::vector<GateOp> ops_;  // original gate list (ops(), bind_ops())
   std::vector<Step> plan_;
   std::vector<Factor> factors_;
   std::vector<Step> diag_components_;  // flattened kDiagonal constituents

@@ -82,8 +82,9 @@ Mat2 gate_matrix(GateKind k, double theta) {
       return {cplx{c, 0}, cplx{-s, 0}, cplx{s, 0}, cplx{c, 0}};
     case GateKind::kRZ:
     case GateKind::kCRZ:
-      return {std::exp(-i * (theta / 2.0)), cplx{0, 0}, cplx{0, 0},
-              std::exp(i * (theta / 2.0))};
+      // e^{-/+ i theta/2} from the one cos/sin pair above (glibc's cexp of
+      // a pure imaginary argument returns exactly this pair).
+      return {cplx{c, -s}, cplx{0, 0}, cplx{0, 0}, cplx{c, s}};
     case GateKind::kH: {
       const double r = 1.0 / std::numbers::sqrt2;
       return {cplx{r, 0}, cplx{r, 0}, cplx{r, 0}, cplx{-r, 0}};
@@ -110,6 +111,24 @@ Mat2 gate_matrix(GateKind k, double theta) {
       return {cplx{1, 0}, cplx{0, 0}, cplx{0, 0}, cplx{1, 0}};
   }
   return {cplx{1, 0}, cplx{0, 0}, cplx{0, 0}, cplx{1, 0}};
+}
+
+Mat2 rotation_generator(GateKind k) {
+  assert(is_parameterized(k));
+  switch (k) {
+    case GateKind::kRX:
+    case GateKind::kCRX:
+      return {cplx{0, 0}, cplx{0, -0.5}, cplx{0, -0.5}, cplx{0, 0}};
+    case GateKind::kRY:
+    case GateKind::kCRY:
+      return {cplx{0, 0}, cplx{-0.5, 0}, cplx{0.5, 0}, cplx{0, 0}};
+    case GateKind::kRZ:
+    case GateKind::kCRZ:
+      return {cplx{0, -0.5}, cplx{0, 0}, cplx{0, 0}, cplx{0, 0.5}};
+    default:
+      break;
+  }
+  return {cplx{0, 0}, cplx{0, 0}, cplx{0, 0}, cplx{0, 0}};
 }
 
 Mat2 gate_matrix_derivative(GateKind k, double theta) {

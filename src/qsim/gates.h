@@ -57,4 +57,11 @@ Mat2 gate_matrix(GateKind k, double theta);
 /// The result is generally not unitary.
 Mat2 gate_matrix_derivative(GateKind k, double theta);
 
+/// (-i/2) P for a rotation exp(-i theta P / 2) (P = X, Y, Z; the controlled
+/// block of CRX/CRY/CRZ likewise), so that
+/// gate_matrix_derivative(k, theta) = rotation_generator(k) *
+/// gate_matrix(k, theta). Lets a bound matrix be differentiated without
+/// evaluating sin/cos again.
+Mat2 rotation_generator(GateKind k);
+
 }  // namespace sqvae::qsim

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "common/number_text.h"
 #include "common/thread_budget.h"
 
 namespace sqvae::qsim::kernels {
@@ -204,6 +205,41 @@ void scalar_probabilities(const cplx* amps, std::size_t n, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::norm(amps[i]);
 }
 
+inline void accumulate_cross(Mat2& m, cplx l0, cplx l1, cplx p0, cplx p1) {
+  m[0] += std::conj(l0) * p0;
+  m[1] += std::conj(l0) * p1;
+  m[2] += std::conj(l1) * p0;
+  m[3] += std::conj(l1) * p1;
+}
+
+Mat2 scalar_cross(const cplx* lambda, const cplx* psi, std::size_t n,
+                  int control, int target) {
+  const std::size_t tbit = std::size_t{1} << target;
+  Mat2 m{};
+  if (control < 0) {
+    for (std::size_t base = 0; base < n; base += 2 * tbit) {
+      for (std::size_t i = base; i < base + tbit; ++i) {
+        accumulate_cross(m, lambda[i], lambda[i + tbit], psi[i],
+                         psi[i + tbit]);
+      }
+    }
+    return m;
+  }
+  const std::size_t cbit = std::size_t{1} << control;
+  const std::size_t b1 = cbit < tbit ? cbit : tbit;
+  const std::size_t b2 = cbit < tbit ? tbit : cbit;
+  for (std::size_t i0 = 0; i0 < n; i0 += 2 * b2) {
+    for (std::size_t i1 = i0; i1 < i0 + b2; i1 += 2 * b1) {
+      const std::size_t base = i1 | cbit;
+      for (std::size_t i = base; i < base + b1; ++i) {
+        accumulate_cross(m, lambda[i], lambda[i | tbit], psi[i],
+                         psi[i | tbit]);
+      }
+    }
+  }
+  return m;
+}
+
 // Pair-run primitives: the same per-pair arithmetic as the strided kernels
 // above, on caller-supplied contiguous runs (high-target pair exchange).
 
@@ -227,6 +263,16 @@ void scalar_swap_runs(cplx* lo, cplx* hi, std::size_t count) {
 
 void scalar_negate_run(cplx* amps, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) amps[i] = -amps[i];
+}
+
+Mat2 scalar_cross_pairs(const cplx* lambda_lo, const cplx* lambda_hi,
+                        const cplx* psi_lo, const cplx* psi_hi,
+                        std::size_t count) {
+  Mat2 m{};
+  for (std::size_t i = 0; i < count; ++i) {
+    accumulate_cross(m, lambda_lo[i], lambda_hi[i], psi_lo[i], psi_hi[i]);
+  }
+  return m;
 }
 
 // ---- dispatch -------------------------------------------------------------
@@ -284,17 +330,9 @@ const Dispatch& dispatch() {
 // OpenMP dispatch cost vanishes against the chunk's arithmetic.
 constexpr std::size_t kParallelChunk = std::size_t{1} << 12;
 
-std::size_t threshold_from_env() {
-  const char* v = std::getenv("SQVAE_PAR_THRESHOLD");
-  if (v == nullptr || v[0] == '\0') return std::size_t{1} << 15;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return std::size_t{1} << 15;
-  return static_cast<std::size_t>(parsed);
-}
-
 std::atomic<std::size_t>& threshold_storage() {
-  static std::atomic<std::size_t> t{threshold_from_env()};
+  static std::atomic<std::size_t> t{
+      number_text::env_setting("SQVAE_PAR_THRESHOLD", std::size_t{1} << 15)};
   return t;
 }
 
@@ -319,9 +357,10 @@ void for_chunks(std::size_t n, Fn fn) {
 /// b1 <= b2 form runs of length b1 spaced by the two-level bit pattern;
 /// flattened run-local index p in [0, n_units) maps to the array index by
 /// re-inserting a zero at each qubit's bit position and OR-ing the fixed
-/// set bits. fn(i, len) receives maximal sub-runs clipped to chunk
-/// boundaries; chunks partition [0, n_units) in fixed kParallelChunk / 2
-/// steps (each unit touches two amplitudes).
+/// set bits. fn(c, i, len) receives maximal sub-runs clipped to chunk
+/// boundaries, with c the index of their chunk; chunks partition
+/// [0, n_units) in fixed kParallelChunk / 2 steps (each unit touches two
+/// amplitudes), and one chunk's runs arrive in ascending order.
 template <typename Fn>
 void for_pair_runs(std::size_t n_units, std::size_t b1, std::size_t b2,
                    std::size_t set_mask, Fn fn) {
@@ -339,7 +378,7 @@ void for_pair_runs(std::size_t n_units, std::size_t b1, std::size_t b2,
       // Insert a zero bit at the b1 position, then at the b2 position.
       std::size_t i = ((p & ~(b1 - 1)) << 1) | o;
       i = ((i & ~(b2 - 1)) << 1) | (i & (b2 - 1));
-      fn(i | set_mask, len);
+      fn(static_cast<std::size_t>(c), i | set_mask, len);
       p += len;
     }
   }
@@ -359,7 +398,7 @@ void for_single_runs(std::size_t n_pairs, std::size_t stride, Fn fn) {
     while (p < pe) {
       const std::size_t o = p & (stride - 1);
       const std::size_t len = stride - o < pe - p ? stride - o : pe - p;
-      fn(((p & ~(stride - 1)) << 1) | o, len);
+      fn(static_cast<std::size_t>(c), ((p & ~(stride - 1)) << 1) | o, len);
       p += len;
     }
   }
@@ -379,9 +418,11 @@ void par_apply_single(cplx* amps, std::size_t n, const Mat2& m, int target) {
       kt.apply_single(amps + off, len, m, target);
     });
   } else {
-    for_single_runs(n / 2, stride, [&](std::size_t i, std::size_t len) {
-      kt.apply_single_pairs(amps + i, amps + i + stride, len, m);
-    });
+    for_single_runs(n / 2, stride,
+                    [&](std::size_t, std::size_t i, std::size_t len) {
+                      kt.apply_single_pairs(amps + i, amps + i + stride, len,
+                                            m);
+                    });
   }
 }
 
@@ -397,9 +438,11 @@ void par_apply_controlled_single(cplx* amps, std::size_t n, const Mat2& m,
       kt.apply_controlled_single(amps + off, len, m, control, target);
     });
   } else {
-    for_pair_runs(n / 4, b1, b2, cbit, [&](std::size_t i, std::size_t len) {
-      kt.apply_single_pairs(amps + i, amps + (i | tbit), len, m);
-    });
+    for_pair_runs(n / 4, b1, b2, cbit,
+                  [&](std::size_t, std::size_t i, std::size_t len) {
+                    kt.apply_single_pairs(amps + i, amps + (i | tbit), len,
+                                          m);
+                  });
   }
 }
 
@@ -414,9 +457,10 @@ void par_apply_cnot(cplx* amps, std::size_t n, int control, int target) {
       kt.apply_cnot(amps + off, len, control, target);
     });
   } else {
-    for_pair_runs(n / 4, b1, b2, cbit, [&](std::size_t i, std::size_t len) {
-      kt.swap_runs(amps + i, amps + (i | tbit), len);
-    });
+    for_pair_runs(n / 4, b1, b2, cbit,
+                  [&](std::size_t, std::size_t i, std::size_t len) {
+                    kt.swap_runs(amps + i, amps + (i | tbit), len);
+                  });
   }
 }
 
@@ -432,7 +476,7 @@ void par_apply_cz(cplx* amps, std::size_t n, int control, int target) {
     });
   } else {
     for_pair_runs(n / 4, b1, b2, cbit | tbit,
-                  [&](std::size_t i, std::size_t len) {
+                  [&](std::size_t, std::size_t i, std::size_t len) {
                     kt.negate_run(amps + i, len);
                   });
   }
@@ -452,9 +496,10 @@ void par_apply_swap(cplx* amps, std::size_t n, int a, int b) {
   } else {
     // Enumerate lo indices with the a-bit set, b-bit clear; the partner
     // run starts at i ^ flip and is contiguous alongside (len <= b1).
-    for_pair_runs(n / 4, b1, b2, abit, [&](std::size_t i, std::size_t len) {
-      kt.swap_runs(amps + i, amps + (i ^ flip), len);
-    });
+    for_pair_runs(n / 4, b1, b2, abit,
+                  [&](std::size_t, std::size_t i, std::size_t len) {
+                    kt.swap_runs(amps + i, amps + (i ^ flip), len);
+                  });
   }
 }
 
@@ -531,6 +576,47 @@ double par_apply_diag_observable(const double* diag, const cplx* psi,
   return s;
 }
 
+/// Adds per-chunk cross matrices in chunk order (the fixed-order
+/// combination every parallel reduction uses).
+Mat2 sum_in_chunk_order(const std::vector<Mat2>& partial) {
+  Mat2 m{};
+  for (const Mat2& p : partial) {
+    for (std::size_t k = 0; k < 4; ++k) m[k] += p[k];
+  }
+  return m;
+}
+
+Mat2 par_cross(const cplx* lambda, const cplx* psi, std::size_t n,
+               int control, int target) {
+  const KernelTable& kt = active();
+  const std::size_t tbit = std::size_t{1} << target;
+  const std::size_t cbit = control < 0 ? 0 : std::size_t{1} << control;
+  std::size_t b1, b2;
+  sort_masks(cbit, tbit, b1, b2);
+  // Every regime below walks at most chunk_count(n) chunks; unused
+  // partials stay zero and add nothing.
+  std::vector<Mat2> partial(static_cast<std::size_t>(chunk_count(n)),
+                            Mat2{});
+  if (2 * b2 <= kParallelChunk) {
+    for_chunks(n, [&](std::size_t off, std::size_t len) {
+      partial[off / kParallelChunk] =
+          kt.cross(lambda + off, psi + off, len, control, target);
+    });
+  } else {
+    auto pairs = [&](std::size_t c, std::size_t i, std::size_t len) {
+      const Mat2 m = kt.cross_pairs(lambda + i, lambda + (i | tbit),
+                                    psi + i, psi + (i | tbit), len);
+      for (std::size_t k = 0; k < 4; ++k) partial[c][k] += m[k];
+    };
+    if (control < 0) {
+      for_single_runs(n / 2, tbit, pairs);
+    } else {
+      for_pair_runs(n / 4, b1, b2, cbit, pairs);
+    }
+  }
+  return sum_in_chunk_order(partial);
+}
+
 void par_apply_single_pairs(cplx* lo, cplx* hi, std::size_t count,
                             const Mat2& m) {
   const KernelTable& kt = active();
@@ -551,6 +637,20 @@ void par_negate_run(cplx* amps, std::size_t count) {
   for_chunks(count, [&](std::size_t off, std::size_t len) {
     kt.negate_run(amps + off, len);
   });
+}
+
+Mat2 par_cross_pairs(const cplx* lambda_lo, const cplx* lambda_hi,
+                     const cplx* psi_lo, const cplx* psi_hi,
+                     std::size_t count) {
+  const KernelTable& kt = active();
+  std::vector<Mat2> partial(static_cast<std::size_t>(chunk_count(count)),
+                            Mat2{});
+  for_chunks(count, [&](std::size_t off, std::size_t len) {
+    partial[off / kParallelChunk] =
+        kt.cross_pairs(lambda_lo + off, lambda_hi + off, psi_lo + off,
+                       psi_hi + off, len);
+  });
+  return sum_in_chunk_order(partial);
 }
 
 }  // namespace
@@ -590,9 +690,11 @@ const KernelTable& scalar_table() {
       scalar_expectation_z,
       scalar_apply_diag_observable,
       scalar_probabilities,
+      scalar_cross,
       scalar_apply_single_pairs,
       scalar_swap_runs,
       scalar_negate_run,
+      scalar_cross_pairs,
   };
   return t;
 }
@@ -610,9 +712,11 @@ const KernelTable& parallel_table() {
       par_expectation_z,
       par_apply_diag_observable,
       par_probabilities,
+      par_cross,
       par_apply_single_pairs,
       par_swap_runs,
       par_negate_run,
+      par_cross_pairs,
   };
   return t;
 }

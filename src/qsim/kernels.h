@@ -154,6 +154,16 @@ struct KernelTable {
                                   cplx* lambda, std::size_t n);
   /// out[i] = |amps[i]|^2.
   void (*probabilities)(const cplx* amps, std::size_t n, double* out);
+  /// The 2x2 cross matrix of two states over the amplitude pairs of
+  /// `target`: M[2a + b] = sum conj(lambda[..a..]) * psi[..b..], where a
+  /// and b are the target bit of the pair members. With control >= 0 only
+  /// pairs whose control bit is set contribute; control < 0 sums all
+  /// pairs. For any 2x2 G acting on the target (on the control=|1>
+  /// subspace when controlled), <lambda| G |psi> = sum_ab G_ab M_ab — one
+  /// pass yields every parameter gradient of a fused plan step (the
+  /// executor's adjoint reverse walk).
+  Mat2 (*cross)(const cplx* lambda, const cplx* psi, std::size_t n,
+                int control, int target);
 
   // Contiguous pair-run primitives. These are the explicit pair-exchange
   // bodies for high-target-qubit gates: when a qubit mask is so large that
@@ -169,6 +179,12 @@ struct KernelTable {
   void (*swap_runs)(cplx* lo, cplx* hi, std::size_t count);
   /// amps[i] = -amps[i] for i in [0, count) (CZ body).
   void (*negate_run)(cplx* amps, std::size_t count);
+  /// cross() restricted to the pairs (lo[i], hi[i]), i in [0, count), of
+  /// both states: M[2a + b] = sum conj(lambda_a[i]) * psi_b[i] with
+  /// lambda_0 = lambda_lo, lambda_1 = lambda_hi (likewise psi).
+  Mat2 (*cross_pairs)(const cplx* lambda_lo, const cplx* lambda_hi,
+                      const cplx* psi_lo, const cplx* psi_hi,
+                      std::size_t count);
 };
 
 enum class Isa { kScalar, kAvx2 };

@@ -440,6 +440,156 @@ void avx2_probabilities(const cplx* amps, std::size_t n, double* out) {
   for (; i < n; ++i) out[i] = std::norm(amps[i]);
 }
 
+// ---- cross matrix ---------------------------------------------------------
+//
+// M[2a + b] = sum conj(lambda_a) * psi_b accumulates like avx2_inner: per
+// product one lane-wise fmadd for the real part (ar*br + ai*bi, summed
+// over a complex's two lanes) and one on the re/im-swapped lambda for the
+// imaginary part (ar*bi - ai*br = odd lane - even lane).
+
+/// Accumulators for (lo, hi) pair runs; index k = 2a + b.
+struct CrossAcc {
+  __m256d p[4];
+  __m256d x[4];
+
+  CrossAcc() {
+    for (int k = 0; k < 4; ++k) {
+      p[k] = _mm256_setzero_pd();
+      x[k] = _mm256_setzero_pd();
+    }
+  }
+
+  /// Adds the products of (up to) two pairs: l0/l1 hold lambda's lo/hi
+  /// members, p0/p1 psi's.
+  void add(__m256d l0, __m256d l1, __m256d p0, __m256d p1) {
+    const __m256d s0 = _mm256_permute_pd(l0, 0x5);
+    const __m256d s1 = _mm256_permute_pd(l1, 0x5);
+    p[0] = _mm256_fmadd_pd(l0, p0, p[0]);
+    x[0] = _mm256_fmadd_pd(s0, p0, x[0]);
+    p[1] = _mm256_fmadd_pd(l0, p1, p[1]);
+    x[1] = _mm256_fmadd_pd(s0, p1, x[1]);
+    p[2] = _mm256_fmadd_pd(l1, p0, p[2]);
+    x[2] = _mm256_fmadd_pd(s1, p0, x[2]);
+    p[3] = _mm256_fmadd_pd(l1, p1, p[3]);
+    x[3] = _mm256_fmadd_pd(s1, p1, x[3]);
+  }
+
+  Mat2 result() const {
+    Mat2 m;
+    for (int k = 0; k < 4; ++k) {
+      double pk[4];
+      double xk[4];
+      _mm256_storeu_pd(pk, p[k]);
+      _mm256_storeu_pd(xk, x[k]);
+      m[static_cast<std::size_t>(k)] = cplx{pk[0] + pk[1] + pk[2] + pk[3],
+                                            (xk[1] - xk[0]) + (xk[3] - xk[2])};
+    }
+    return m;
+  }
+};
+
+/// One complex value in lanes 0-1, zeros above (they add nothing).
+inline __m256d load_one(const cplx* p) {
+  return _mm256_set_m128d(_mm_setzero_pd(), _mm_loadu_pd(dp(p)));
+}
+
+/// Two-pair vectors over the run, a single-pair step for an odd tail
+/// (scattered pairs, control on qubit 0, are runs of one).
+inline void cross_runs(CrossAcc& acc, const cplx* l_lo, const cplx* l_hi,
+                       const cplx* p_lo, const cplx* p_hi, std::size_t count) {
+  std::size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    acc.add(_mm256_loadu_pd(dp(l_lo + i)), _mm256_loadu_pd(dp(l_hi + i)),
+            _mm256_loadu_pd(dp(p_lo + i)), _mm256_loadu_pd(dp(p_hi + i)));
+  }
+  if (i < count) {
+    acc.add(load_one(l_lo + i), load_one(l_hi + i), load_one(p_lo + i),
+            load_one(p_hi + i));
+  }
+}
+
+/// Target-0 variant: one vector holds a whole pair (lo in lanes 0-1, hi
+/// in lanes 2-3). Lane-wise products give M00 | M11, products with psi's
+/// halves swapped give M01 | M10.
+struct AdjCrossAcc {
+  __m256d pd = _mm256_setzero_pd();
+  __m256d xd = _mm256_setzero_pd();
+  __m256d po = _mm256_setzero_pd();
+  __m256d xo = _mm256_setzero_pd();
+
+  void add(const cplx* lambda, const cplx* psi) {
+    const __m256d l = _mm256_loadu_pd(dp(lambda));
+    const __m256d p = _mm256_loadu_pd(dp(psi));
+    const __m256d ls = _mm256_permute_pd(l, 0x5);
+    const __m256d ps = _mm256_permute2f128_pd(p, p, 0x01);
+    pd = _mm256_fmadd_pd(l, p, pd);
+    xd = _mm256_fmadd_pd(ls, p, xd);
+    po = _mm256_fmadd_pd(l, ps, po);
+    xo = _mm256_fmadd_pd(ls, ps, xo);
+  }
+
+  Mat2 result() const {
+    double a[4];
+    double b[4];
+    double c[4];
+    double d[4];
+    _mm256_storeu_pd(a, pd);
+    _mm256_storeu_pd(b, xd);
+    _mm256_storeu_pd(c, po);
+    _mm256_storeu_pd(d, xo);
+    return {cplx{a[0] + a[1], b[1] - b[0]}, cplx{c[0] + c[1], d[1] - d[0]},
+            cplx{c[2] + c[3], d[3] - d[2]}, cplx{a[2] + a[3], b[3] - b[2]}};
+  }
+};
+
+Mat2 avx2_cross(const cplx* lambda, const cplx* psi, std::size_t n,
+                int control, int target) {
+  const std::size_t tbit = std::size_t{1} << target;
+  if (control < 0) {
+    if (target == 0) {
+      AdjCrossAcc acc;
+      for (std::size_t i = 0; i < n; i += 2) acc.add(lambda + i, psi + i);
+      return acc.result();
+    }
+    CrossAcc acc;
+    for (std::size_t base = 0; base < n; base += 2 * tbit) {
+      cross_runs(acc, lambda + base, lambda + base + tbit, psi + base,
+                 psi + base + tbit, tbit);
+    }
+    return acc.result();
+  }
+  const std::size_t cbit = std::size_t{1} << control;
+  if (target == 0) {
+    // Adjacent pairs (i, i+1) wherever the control bit is set.
+    AdjCrossAcc acc;
+    for (std::size_t i0 = 0; i0 < n; i0 += 2 * cbit) {
+      for (std::size_t i1 = i0; i1 < i0 + cbit; i1 += 2) {
+        acc.add(lambda + (i1 | cbit), psi + (i1 | cbit));
+      }
+    }
+    return acc.result();
+  }
+  const std::size_t b1 = cbit < tbit ? cbit : tbit;
+  const std::size_t b2 = cbit < tbit ? tbit : cbit;
+  CrossAcc acc;
+  for (std::size_t i0 = 0; i0 < n; i0 += 2 * b2) {
+    for (std::size_t i1 = i0; i1 < i0 + b2; i1 += 2 * b1) {
+      const std::size_t base = i1 | cbit;
+      cross_runs(acc, lambda + base, lambda + base + tbit, psi + base,
+                 psi + base + tbit, b1);
+    }
+  }
+  return acc.result();
+}
+
+Mat2 avx2_cross_pairs(const cplx* lambda_lo, const cplx* lambda_hi,
+                      const cplx* psi_lo, const cplx* psi_hi,
+                      std::size_t count) {
+  CrossAcc acc;
+  cross_runs(acc, lambda_lo, lambda_hi, psi_lo, psi_hi, count);
+  return acc.result();
+}
+
 }  // namespace
 
 namespace detail {
@@ -457,9 +607,11 @@ const KernelTable& avx2_table() {
       avx2_expectation_z,
       avx2_apply_diag_observable,
       avx2_probabilities,
+      avx2_cross,
       avx2_apply_single_pairs,
       avx2_swap_runs,
       avx2_negate_run,
+      avx2_cross_pairs,
   };
   return t;
 }

@@ -171,6 +171,38 @@ TEST(NumberText, IntegersReadWholeTokensOnly) {
             "-9223372036854775808");
 }
 
+TEST(NumberText, SettingsKeepTheirDefaultOnMalformedText) {
+  // Environment settings (SQVAE_PAR_THRESHOLD, SQVAE_BLOCK_QUBITS) used to
+  // go through strtoull/strtol: "-1" wrapped to 2^64-1, "32k" read 32 and
+  // "1e6" read 1.
+  struct Row {
+    const char* text;
+    std::size_t expected;
+  };
+  const std::size_t fallback = std::size_t{1} << 15;
+  const Row rows[] = {
+      {"-1", fallback},
+      {"32k", fallback},
+      {"1e6", fallback},
+      {"", fallback},
+      {nullptr, fallback},
+      {"65536", 65536},
+      {"0", 0},
+      {" 8", fallback},
+      {"99999999999999999999", fallback},
+  };
+  for (const Row& row : rows) {
+    if (row.text == nullptr) {
+      ::unsetenv("SQVAE_TEST_SETTING");
+    } else {
+      ::setenv("SQVAE_TEST_SETTING", row.text, 1);
+    }
+    EXPECT_EQ(env_setting("SQVAE_TEST_SETTING", fallback), row.expected)
+        << (row.text == nullptr ? "(unset)" : row.text);
+  }
+  ::unsetenv("SQVAE_TEST_SETTING");
+}
+
 TEST(NumberText, CursorReadsWhitespaceSeparatedTokens) {
   Cursor in(" adam\t3 \n0.5  -0 nan\r\n  ");
   long long t = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autodiff/tape.h"
 #include "common/rng.h"
@@ -217,6 +218,45 @@ TEST(QuantumLayerGradients, AngleModeProbabilitiesDecoderPath) {
   tape.backward(loss);
   check_fd(input, eval, input.grad);
   check_fd(layer.weights(), eval, layer.weights().grad);
+}
+
+TEST(QuantumLayerGradients, ConstantInputLeavesWeightGradientsBitIdentical) {
+  // A constant input (every SQ encoder patch reads a slice of the batch)
+  // skips the per-row input cotangents; the weight gradients must not move
+  // by a bit against the same graph with a trainable input.
+  Rng rng(300);
+  for (const bool amplitude : {true, false}) {
+    const QuantumLayerConfig config =
+        amplitude ? amplitude_config(4, 2, 16) : angle_config(4, 2);
+    QuantumLayer layer(config, rng);
+    const Matrix x = random_matrix(
+        5, static_cast<std::size_t>(config.input_dim), rng, 0.1, 1.2);
+    const Matrix target(5, static_cast<std::size_t>(layer.output_dim()), 0.2);
+
+    auto weight_grads = [&](bool trainable_input) {
+      Parameter input(x);
+      Tape t;
+      Var in = trainable_input ? t.leaf(&input) : t.constant(x);
+      layer.weights().zero_grad();
+      input.zero_grad();
+      t.backward(t.mse_loss(layer.forward(t, in), target));
+      if (trainable_input) {
+        double norm = 0.0;
+        for (std::size_t i = 0; i < input.grad.size(); ++i) {
+          norm += std::abs(input.grad[i]);
+        }
+        EXPECT_GT(norm, 0.0);
+      }
+      return layer.weights().grad;
+    };
+    const Matrix with_input = weight_grads(true);
+    const Matrix constant_input = weight_grads(false);
+    ASSERT_EQ(with_input.size(), constant_input.size());
+    EXPECT_EQ(std::memcmp(with_input.data(), constant_input.data(),
+                          with_input.size() * sizeof(double)),
+              0)
+        << (amplitude ? "amplitude" : "angle");
+  }
 }
 
 TEST(QuantumLayer, WeightsInitializedInPiRange) {

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -136,6 +138,31 @@ TEST(BlockedExecutor, OptionsClampToSupportedRange) {
   ExecutorOptions high;
   high.block_qubits = 40;
   EXPECT_EQ(CircuitExecutor(c, high).block_qubits(), 24);
+}
+
+TEST(BlockedExecutor, EnvironmentBlockSizeReadsWholeIntegersOnly) {
+  // SQVAE_BLOCK_QUBITS resolves when no option is given; text that is not
+  // one non-negative integer keeps the default of 15 (strtol used to read
+  // "32k" as 32 and "1e6" as 1), and whole integers still clamp.
+  struct Row {
+    const char* text;
+    int expected;
+  };
+  const Row rows[] = {{"-1", 15}, {"32k", 15}, {"1e6", 15}, {"", 15},
+                      {"65536", 24}, {"10", 10}, {"3", 8}};
+  const char* outer = std::getenv("SQVAE_BLOCK_QUBITS");
+  const bool was_set = outer != nullptr;
+  const std::string saved = was_set ? outer : "";
+  Circuit c(10);
+  c.angle_embedding(0);
+  for (const Row& row : rows) {
+    ::setenv("SQVAE_BLOCK_QUBITS", row.text, 1);
+    EXPECT_EQ(CircuitExecutor(c).block_qubits(), row.expected)
+        << "SQVAE_BLOCK_QUBITS=" << row.text;
+  }
+  ::unsetenv("SQVAE_BLOCK_QUBITS");
+  EXPECT_EQ(CircuitExecutor(c).block_qubits(), 15);
+  if (was_set) ::setenv("SQVAE_BLOCK_QUBITS", saved.c_str(), 1);
 }
 
 TEST(BlockedExecutor, AllLocalCircuitCompilesToSingleGroupSweep) {

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "qsim/circuit.h"
 #include "qsim/embedding.h"
 #include "qsim/observable.h"
@@ -208,42 +210,224 @@ TEST(CircuitExecutor, RunBatchMatchesPerSampleRuns) {
   }
 }
 
-TEST(CircuitExecutor, AdjointBatchMatchesAdjointGradient) {
-  Rng rng(44);
-  const int qubits = 3;
-  Circuit c(qubits);
-  int next_slot = 0;
-  for (int g = 0; g < 40; ++g) push_random_gate(c, qubits, next_slot, rng);
-
-  CircuitExecutor exec(c);
-  const std::size_t batch = 5;
-  std::vector<std::vector<double>> params(batch);
-  std::vector<std::vector<double>> diags(batch);
+/// A random adjoint workload for `c`: per-sample slot values, initial
+/// states and cotangent-weighted <Z> diagonals.
+struct AdjointCase {
+  std::vector<std::vector<double>> params;
   std::vector<Statevector> initials;
-  initials.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    params[i] = random_params(c.num_param_slots(), rng);
-    std::vector<double> cot(static_cast<std::size_t>(qubits));
-    for (double& v : cot) v = rng.uniform(-1, 1);
-    diags[i] = weighted_z_diagonal(qubits, cot);
-    initials.push_back(random_state(qubits, rng));
-  }
+  std::vector<std::vector<double>> diags;
 
-  const auto batched = exec.adjoint_batch(params, initials, diags);
+  AdjointCase(const Circuit& c, std::size_t batch, Rng& rng) {
+    const int qubits = c.num_qubits();
+    for (std::size_t i = 0; i < batch; ++i) {
+      params.push_back(random_params(c.num_param_slots(), rng));
+      std::vector<double> cot(static_cast<std::size_t>(qubits));
+      for (double& v : cot) v = rng.uniform(-1, 1);
+      diags.push_back(weighted_z_diagonal(qubits, cot));
+      initials.push_back(random_state(qubits, rng));
+    }
+  }
+};
+
+/// adjoint_batch (fused forward, plan reverse walk) against the
+/// interpreter's per-gate adjoint_gradient: the value within kTol, every
+/// slot gradient and the initial-state cotangent within 1e-10.
+void expect_adjoint_matches_oracle(const Circuit& c,
+                                   const ExecutorOptions& options,
+                                   std::size_t batch, Rng& rng) {
+  const CircuitExecutor exec(c, options);
+  const AdjointCase w(c, batch, rng);
+  const auto batched = exec.adjoint_batch(w.params, w.initials, w.diags);
   ASSERT_EQ(batched.size(), batch);
   for (std::size_t i = 0; i < batch; ++i) {
     const AdjointResult ref =
-        adjoint_gradient(c, params[i], initials[i], diags[i]);
+        adjoint_gradient(c, w.params[i], w.initials[i], w.diags[i]);
     EXPECT_NEAR(batched[i].value, ref.value, kTol);
     ASSERT_EQ(batched[i].param_grads.size(), ref.param_grads.size());
     for (std::size_t s = 0; s < ref.param_grads.size(); ++s) {
-      EXPECT_NEAR(batched[i].param_grads[s], ref.param_grads[s], 1e-10);
+      EXPECT_NEAR(batched[i].param_grads[s], ref.param_grads[s], 1e-10)
+          << "slot " << s;
     }
     ASSERT_EQ(batched[i].initial_lambda.size(), ref.initial_lambda.size());
     for (std::size_t j = 0; j < ref.initial_lambda.size(); ++j) {
       EXPECT_NEAR(std::abs(batched[i].initial_lambda[j] -
                            ref.initial_lambda[j]),
-                  0.0, 1e-10);
+                  0.0, 1e-10)
+          << "amplitude " << j;
+    }
+  }
+}
+
+TEST(CircuitExecutor, AdjointBatchMatchesAdjointGradient) {
+  Rng rng(44);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int qubits = rng.uniform_int(2, 6);
+    Circuit c(qubits);
+    int next_slot = 0;
+    const int gates = rng.uniform_int(1, 60);
+    for (int g = 0; g < gates; ++g) push_random_gate(c, qubits, next_slot, rng);
+    expect_adjoint_matches_oracle(c, {}, 3, rng);
+  }
+}
+
+TEST(CircuitExecutor, AdjointSharedSlotInsideOneFusedRun) {
+  // Slot 0 drives three factors of one fused step and slot 1 two more;
+  // their gradients accumulate within the step's single reduction.
+  Circuit c(3);
+  c.rz(1, Param::slot(0))
+      .ry(1, Param::slot(0))
+      .rx(1, Param::slot(1))
+      .rz(1, Param::slot(0))
+      .ry(1, Param::slot(1))
+      .cnot(1, 2)
+      .ry(0, Param::slot(0))
+      .cnot(0, 1);
+  const CircuitExecutor exec(c);
+  // Fused qubit-1 run; CNOT; RY(q0); CNOT.
+  EXPECT_EQ(exec.num_plan_ops(), 4u);
+  Rng rng(45);
+  expect_adjoint_matches_oracle(c, {}, 4, rng);
+}
+
+TEST(CircuitExecutor, AdjointSharedSlotAcrossDiagonalRun) {
+  // One diagonal run holds RZ factors on three wires, two CRZ pairs and a
+  // CZ; slot 0 appears on two wires and in a CRZ, slot 1 twice on one
+  // wire (two components, split by the CZ). The CNOTs flush the H layer
+  // so the RZs open the run instead of fusing behind an H.
+  Circuit c(3);
+  c.h(0).h(1).h(2).cnot(0, 1).cnot(1, 2);
+  c.rz(0, Param::slot(0))
+      .rz(1, Param::slot(0))
+      .rz(2, Param::slot(1))
+      .s(2)
+      .cz(1, 2)
+      .rz(2, Param::slot(1))
+      .crz(0, 2, Param::slot(0))
+      .crz(2, 1, Param::slot(2))
+      .t(0);
+  c.rx(0, Param::slot(3)).ry(1, Param::slot(3)).rx(2, Param::slot(2));
+  const CircuitExecutor exec(c);
+  EXPECT_EQ(exec.num_diag_steps(), 1u);
+  // H x3, CNOT x2, the diagonal run, then the fused T·RX, RY and RX steps.
+  EXPECT_EQ(exec.num_plan_ops(), 9u);
+  Rng rng(46);
+  expect_adjoint_matches_oracle(c, {}, 4, rng);
+}
+
+TEST(CircuitExecutor, AdjointConstantFactorsBetweenSlotFactors) {
+  // Constant gates (H, S, T, X, a constant-angle rotation) sit between
+  // slot factors of one fused step: the derivative of each slot factor
+  // must see the constant factors before it.
+  Circuit c(2);
+  c.rz(0, Param::slot(0))
+      .h(0)
+      .ry(0, Param::value(0.37))
+      .rx(0, Param::slot(1))
+      .s(0)
+      .t(0)
+      .rz(0, Param::slot(2))
+      .x(0)
+      .ry(0, Param::slot(0))
+      .cnot(0, 1)
+      .ry(1, Param::slot(1))
+      .h(1)
+      .rz(1, Param::value(-1.1))
+      .rx(1, Param::slot(3));
+  const CircuitExecutor exec(c);
+  // Fused qubit-0 run; CNOT; fused qubit-1 run.
+  EXPECT_EQ(exec.num_plan_ops(), 3u);
+  Rng rng(47);
+  expect_adjoint_matches_oracle(c, {}, 4, rng);
+}
+
+TEST(CircuitExecutor, AdjointControlledRotationSteps) {
+  // CRX/CRY/CRZ at every (control, target) placement of a 4-qubit
+  // register: control and target on qubit 0, on adjacent and on distant
+  // qubits, in both orders (every stride class of the cross reduction).
+  // Slot and constant angles, with non-diagonal layers between them so
+  // CRZ also appears outside diagonal runs.
+  Circuit c(4);
+  int slot = 0;
+  for (int q = 0; q < 4; ++q) c.ry(q, Param::slot(slot++));
+  for (int ctrl = 0; ctrl < 4; ++ctrl) {
+    for (int tgt = 0; tgt < 4; ++tgt) {
+      if (ctrl == tgt) continue;
+      c.crx(ctrl, tgt, Param::slot(slot++));
+      c.cry(tgt, ctrl, Param::slot(slot++));
+      c.crz(ctrl, tgt, Param::slot(slot++));
+      c.rx(tgt, Param::slot(slot++));
+      c.crz(tgt, ctrl, Param::value(0.8));
+      c.h(ctrl);
+    }
+  }
+  Rng rng(48);
+  expect_adjoint_matches_oracle(c, {}, 3, rng);
+}
+
+TEST(CircuitExecutor, AdjointBlockedCircuitsMatchOracle) {
+  // 10-12 qubits against 2^8-amplitude blocks: the forward pass runs the
+  // blocked (reordered) schedule, the reverse walk the plan.
+  ExecutorOptions options;
+  options.block_qubits = 8;
+  Rng rng(49);
+  for (const int qubits : {10, 11, 12}) {
+    Circuit c(qubits);
+    int next_slot = c.angle_embedding(0);
+    c.strongly_entangling_layers(1, next_slot);
+    next_slot = c.num_param_slots();
+    for (int g = 0; g < 40; ++g) push_random_gate(c, qubits, next_slot, rng);
+    ASSERT_TRUE(CircuitExecutor(c, options).blocked());
+    expect_adjoint_matches_oracle(c, options, 2, rng);
+  }
+}
+
+TEST(CircuitExecutor, AdjointBatchBitIdenticalAtBudgetsOneAndFour) {
+  // 2^15 amplitudes reach the amplitude-parallel table (and its chunked
+  // cross reduction, high-qubit pair runs included): results must not
+  // move by a bit between budgets, and must still match the oracle.
+  const int qubits = 15;
+  Circuit c(qubits);
+  int slot = c.angle_embedding(0);
+  slot = c.strongly_entangling_layers(1, slot);
+  c.crx(0, 14, Param::slot(slot))
+      .cry(14, 1, Param::slot(slot + 1))
+      .crz(13, 12, Param::slot(slot + 2))
+      .rz(14, Param::slot(slot + 3))
+      .cz(13, 14)
+      .rz(13, Param::slot(slot + 4))
+      .ry(14, Param::slot(slot + 5));
+  Rng rng(50);
+  const std::size_t batch = 2;
+  const AdjointCase w(c, batch, rng);
+  const CircuitExecutor exec(c);
+  std::vector<AdjointResult> one;
+  {
+    const thread_budget::Scope budget(1);
+    one = exec.adjoint_batch(w.params, w.initials, w.diags);
+  }
+  std::vector<AdjointResult> four;
+  {
+    const thread_budget::Scope budget(4);
+    four = exec.adjoint_batch(w.params, w.initials, w.diags);
+  }
+  for (std::size_t i = 0; i < batch; ++i) {
+    EXPECT_EQ(std::memcmp(&one[i].value, &four[i].value, sizeof(double)), 0);
+    ASSERT_EQ(one[i].param_grads.size(), four[i].param_grads.size());
+    EXPECT_EQ(std::memcmp(one[i].param_grads.data(),
+                          four[i].param_grads.data(),
+                          one[i].param_grads.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(one[i].initial_lambda.size(), std::size_t{1} << qubits);
+    EXPECT_EQ(std::memcmp(one[i].initial_lambda.data(),
+                          four[i].initial_lambda.data(),
+                          one[i].initial_lambda.size() * sizeof(cplx)),
+              0);
+
+    const AdjointResult ref =
+        adjoint_gradient(c, w.params[i], w.initials[i], w.diags[i]);
+    for (std::size_t s = 0; s < ref.param_grads.size(); ++s) {
+      EXPECT_NEAR(one[i].param_grads[s], ref.param_grads[s], 1e-10)
+          << "slot " << s;
     }
   }
 }

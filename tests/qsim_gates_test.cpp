@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace sqvae::qsim {
 namespace {
@@ -108,12 +112,60 @@ TEST_P(GateDerivative, MatchesFiniteDifferenceEntrywise) {
   }
 }
 
+TEST_P(GateDerivative, IsTheGeneratorTimesTheMatrix) {
+  // dR/dtheta = (-i/2) P R: the executor's reverse walk differentiates
+  // bound matrices this way, without evaluating sin/cos again.
+  const auto [kind, theta] = GetParam();
+  const Mat2 d = gate_matrix_derivative(kind, theta);
+  const Mat2 gd = matmul2(rotation_generator(kind), gate_matrix(kind, theta));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_NEAR(std::abs(gd[i] - d[i]), 0.0, 1e-15)
+        << gate_name(kind) << " entry " << i << " theta " << theta;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllParamGates, GateDerivative,
     ::testing::Combine(
         ::testing::Values(GateKind::kRX, GateKind::kRY, GateKind::kRZ,
                           GateKind::kCRX, GateKind::kCRY, GateKind::kCRZ),
         ::testing::Values(-2.2, -0.4, 0.0, 0.9, 1.7, 3.0)));
+
+/// The RZ/CRZ matrix as it was once built: two complex exponentials.
+Mat2 rz_by_exp(double theta) {
+  constexpr cplx i{0.0, 1.0};
+  return {std::exp(-i * (theta / 2.0)), cplx{0, 0}, cplx{0, 0},
+          std::exp(i * (theta / 2.0))};
+}
+
+TEST(Gates, RzFromOneCosSinPairIsBitIdenticalToExp) {
+  // gate_matrix builds RZ/CRZ from the cos/sin pair it already holds; the
+  // bits of every bound matrix (and so of every trained or served result)
+  // must equal the two-exponential form.
+  std::vector<double> angles = {0.0,     -0.0,     1e-310,  -1e-310,
+                                1e-300,  -1e-300,  1e-8,    -1e-8,
+                                std::numbers::pi,  -std::numbers::pi,
+                                2 * std::numbers::pi, 1e6, -1e15, 1e300};
+  Rng rng(77);
+  for (int k = 0; k < 1000000; ++k) {
+    angles.push_back(rng.uniform(-4 * std::numbers::pi, 4 * std::numbers::pi));
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    angles.push_back(std::ldexp(rng.uniform(1.0, 2.0), e));
+    angles.push_back(-std::ldexp(rng.uniform(1.0, 2.0), e));
+  }
+  int mismatches = 0;
+  for (const double theta : angles) {
+    const Mat2 want = rz_by_exp(theta);
+    for (const GateKind kind : {GateKind::kRZ, GateKind::kCRZ}) {
+      const Mat2 got = gate_matrix(kind, theta);
+      if (std::memcmp(got.data(), want.data(), sizeof(Mat2)) != 0) {
+        if (++mismatches <= 5) ADD_FAILURE() << "theta " << theta;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << angles.size() << " angles";
+}
 
 TEST(Gates, Classification) {
   EXPECT_TRUE(is_parameterized(GateKind::kRX));

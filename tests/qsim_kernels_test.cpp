@@ -338,6 +338,80 @@ TEST(Kernels, ReductionsMatchScalar) {
   }
 }
 
+/// cross() by its definition: a full-index scan over the pairs of
+/// `target` (those with the control bit set when control >= 0).
+Mat2 cross_by_definition(const std::vector<cplx>& l,
+                         const std::vector<cplx>& p, int control,
+                         int target) {
+  const std::size_t tbit = std::size_t{1} << target;
+  Mat2 m{};
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    if ((i & tbit) != 0) continue;
+    if (control >= 0 && (i & (std::size_t{1} << control)) == 0) continue;
+    m[0] += std::conj(l[i]) * p[i];
+    m[1] += std::conj(l[i]) * p[i | tbit];
+    m[2] += std::conj(l[i | tbit]) * p[i];
+    m[3] += std::conj(l[i | tbit]) * p[i | tbit];
+  }
+  return m;
+}
+
+void expect_mat_near(const Mat2& a, const Mat2& b, double tol) {
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_NEAR(std::abs(a[k] - b[k]), 0.0, tol) << "entry " << k;
+  }
+}
+
+TEST(Kernels, CrossMatchesDefinitionAtEveryPosition) {
+  Rng rng(110);
+  for (int n = 1; n <= 8; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    const std::vector<cplx> l = random_amps(n, rng);
+    const std::vector<cplx> p = random_amps(n, rng);
+    for (int target = 0; target < n; ++target) {
+      for (int control = -1; control < n; ++control) {
+        if (control == target) continue;
+        const Mat2 want = cross_by_definition(l, p, control, target);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " control="
+                                          << control << " target=" << target);
+        expect_mat_near(
+            scalar().cross(l.data(), p.data(), dim, control, target), want,
+            kTol);
+        expect_mat_near(
+            dispatched().cross(l.data(), p.data(), dim, control, target),
+            want, kTol);
+      }
+    }
+  }
+}
+
+TEST(Kernels, CrossPairsMatchesCrossOnTheTopQubit) {
+  // The pairs of the top qubit are the two halves of the array, so the
+  // pair-run body over them is the whole-array reduction; odd counts hit
+  // the AVX2 single-pair tail.
+  Rng rng(111);
+  for (int n = 1; n <= 7; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t half = dim / 2;
+    const std::vector<cplx> l = random_amps(n, rng);
+    const std::vector<cplx> p = random_amps(n, rng);
+    const Mat2 want = cross_by_definition(l, p, -1, n - 1);
+    for (const kernels::KernelTable* kt : {&scalar(), &dispatched()}) {
+      expect_mat_near(kt->cross_pairs(l.data(), l.data() + half, p.data(),
+                                      p.data() + half, half),
+                      want, kTol);
+    }
+    for (std::size_t count = 1; count <= half; count += 2) {
+      expect_mat_near(
+          dispatched().cross_pairs(l.data(), l.data() + half, p.data(),
+                                   p.data() + half, count),
+          scalar().cross_pairs(l.data(), l.data() + half, p.data(),
+                               p.data() + half, count),
+          kTol);
+    }
+  }
+}
+
 TEST(Kernels, AvxTableAgreesWithScalarWhenPresent) {
   // Direct A/B of the two concrete tables (independent of what dispatch
   // picked — this also covers hosts where SQVAE_FORCE_SCALAR pinned the

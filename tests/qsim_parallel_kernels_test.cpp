@@ -271,6 +271,52 @@ TEST(ParallelKernels, ReductionsNearSerialAndBitwiseAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelKernels, CrossNearSerialAndBitwiseAcrossThreadCounts) {
+  // Low qubits run the serial cross on whole chunks, high qubits the
+  // chunked pair runs through cross_pairs; both combine partials in chunk
+  // order.
+  ThreadCountGuard guard;
+  Rng rng(309);
+  for (const int n : {14, 16}) {
+    const std::size_t dim = std::size_t{1} << n;
+    const std::vector<cplx> l = random_amps(n, rng);
+    const std::vector<cplx> p = random_amps(n, rng);
+    std::vector<std::pair<int, int>> cases;
+    for (const int t : targets_for(n)) cases.emplace_back(-1, t);
+    for (const auto& ct : pairs_for(n)) cases.push_back(ct);
+    for (const auto& [control, target] : cases) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " control="
+                                        << control << " target=" << target);
+      guard.set(1);
+      const Mat2 one = par().cross(l.data(), p.data(), dim, control, target);
+      const Mat2 ref =
+          serial().cross(l.data(), p.data(), dim, control, target);
+      for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_NEAR(std::abs(one[k] - ref[k]), 0.0, kTol);
+      }
+      for (const int t : kThreadCounts) {
+        guard.set(t);
+        const Mat2 got =
+            par().cross(l.data(), p.data(), dim, control, target);
+        EXPECT_EQ(std::memcmp(one.data(), got.data(), sizeof(Mat2)), 0)
+            << "threads=" << t;
+      }
+    }
+    // The pair-run entry itself, over the two halves of the array.
+    const std::size_t half = dim / 2;
+    guard.set(1);
+    const Mat2 one = par().cross_pairs(l.data(), l.data() + half, p.data(),
+                                       p.data() + half, half);
+    for (const int t : kThreadCounts) {
+      guard.set(t);
+      const Mat2 got = par().cross_pairs(l.data(), l.data() + half, p.data(),
+                                         p.data() + half, half);
+      EXPECT_EQ(std::memcmp(one.data(), got.data(), sizeof(Mat2)), 0)
+          << "cross_pairs n=" << n << " threads=" << t;
+    }
+  }
+}
+
 TEST(ParallelKernels, DiagObservableLambdaBitwiseValueFixedOrder) {
   ThreadCountGuard guard;
   Rng rng(308);

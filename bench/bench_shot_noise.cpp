@@ -60,13 +60,15 @@ int main(int argc, char** argv) {
 
   Table shots_table({"shots", "RMS error of <Z> vector", "1/sqrt(shots)"});
   for (std::size_t shots : {64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
-    // Average RMS over repetitions to reduce the estimate's own noise; each
-    // backend call advances its stream, so repetitions are independent.
-    ShotSamplingBackend backend(
-        make_options(BackendKind::kShotSampling, shots, 0.0, seed));
+    // Average RMS over repetitions to reduce the estimate's own noise. The
+    // noise of an estimate is keyed by its circuit inputs, so independent
+    // repetitions of one circuit take distinct seeds.
     double rms_sum = 0.0;
     const int reps = 10;
     for (int r = 0; r < reps; ++r) {
+      const ShotSamplingBackend backend(make_options(
+          BackendKind::kShotSampling, shots, 0.0,
+          seed + static_cast<std::uint64_t>(r)));
       const auto est = backend.expectations_z(exec, params);
       double se = 0.0;
       for (std::size_t q = 0; q < est.size(); ++q) {

@@ -50,6 +50,14 @@ compiler nor TSan can catch:
                    integer parsers read a prefix too ("32k" is 32, "1e6"
                    is 1) and strtoull wraps "-1" to 2^64-1, and stream
                    formatting is 5-7x slower than to_chars.
+  stateful-stream  std::atomic in src/qsim/ or src/models/. Simulation and
+                   model results are pure functions of their inputs: a
+                   stochastic estimate draws its noise from a stream keyed
+                   by what its circuit sees, never from a counter. A shared
+                   counter there makes a row depend on call order, which
+                   forces serial training, breaks resume and blocks
+                   coalesced serving. A run-time setting that cannot
+                   change a result bit carries a lint-allow.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
 line or the line directly above suppresses that rule for that line. The
@@ -84,6 +92,9 @@ NAKED_PARALLELISM_EXEMPT = ("src/common/thread_budget.h",
 NUMBER_TEXT_EXEMPT = ("src/common/number_text.h",
                       "src/common/number_text.cpp")
 
+# Result-bearing simulation code, where stateful-stream applies.
+STATEFUL_STREAM_DIRS = ("src/qsim/", "src/models/")
+
 ALLOW_RE = re.compile(r"//\s*lint-allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 BANNED_RANDOM_PATTERNS = [
@@ -114,6 +125,8 @@ FUTURE_API_RE = re.compile(
     r"^\s*#\s*include\s*<future>|"
     r"\bstd::(?:future|shared_future|promise|packaged_task|async)\b")
 NUM_THREADS_RE = re.compile(r"\bnum_threads\s*\(")
+
+ATOMIC_RE = re.compile(r"\bstd::atomic\w*")
 
 NUMBER_TEXT_RE = re.compile(
     r"\b(?:strto(?:d|f|ld|l|ul|ll|ull)|sto(?:d|f|ld|i|l|ll|ul|ull)|"
@@ -217,6 +230,8 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
     parallelism_exempt = (rel_path.replace("\\", "/") in
                           NAKED_PARALLELISM_EXEMPT)
     number_text_exempt = rel_path.replace("\\", "/") in NUMBER_TEXT_EXEMPT
+    result_bearing = rel_path.replace("\\", "/").startswith(
+        STATEFUL_STREAM_DIRS)
 
     for lineno, line in enumerate(stripped_lines, start=1):
         def allowed(rule: str) -> bool:
@@ -268,6 +283,13 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
                 yield ("number-text", lineno,
                        f"{m.group(0)} converts numbers outside the codec; "
                        "use sqvae::number_text (src/common/number_text.h)")
+
+        if result_bearing and ATOMIC_RE.search(line) and \
+                not allowed("stateful-stream"):
+            yield ("stateful-stream", lineno,
+                   "shared state in simulation code makes results depend "
+                   "on call order; key streams by their inputs "
+                   "(src/qsim/backend.h)")
 
         for m in RANGE_FOR_RE.finditer(line):
             range_expr = m.group(2) or ""
@@ -439,6 +461,26 @@ SELF_TEST_CASES = [
     ("stod_in_comment", "// std::stod reads a prefix", set(), set()),
 ]
 
+# (name, path, source, expected rules)
+PATH_CASES = [
+    ("mutex_h_exempt", "src/common/mutex.h", "std::mutex mu_;", set()),
+    ("thread_budget_exempt", "src/common/thread_budget.cpp",
+     "const int n = omp_get_max_threads();", set()),
+    ("number_text_exempt", "src/common/number_text.cpp",
+     "double v = std::strtod(p, &end);", set()),
+    ("stateful_stream_qsim", "src/qsim/backend.h",
+     "std::atomic<std::uint64_t> calls_{0};", {"stateful-stream"}),
+    ("stateful_stream_models", "src/models/trainer.cpp",
+     "static std::atomic<int> epochs_run{0};", {"stateful-stream"}),
+    ("stateful_stream_serve_ok", "src/serve/backend.h",
+     "std::atomic<std::uint64_t> calls_{0};", set()),
+    ("stateful_stream_allowed", "src/qsim/kernels.cpp",
+     "// lint-allow(stateful-stream): a run-time setting\n"
+     "static std::atomic<std::size_t> threshold{0};", set()),
+    ("stateful_stream_include_ok", "src/qsim/kernels.cpp",
+     "#include <atomic>", set()),
+]
+
 
 def self_test() -> int:
     failures = 0
@@ -452,23 +494,20 @@ def self_test() -> int:
             print(f"self-test FAIL {name}: expected {sorted(expected)}, "
                   f"got {sorted(got)}", file=sys.stderr)
             failures += 1
-    # The exemption paths must hold for the owning modules themselves.
-    for name, path, source in (
-            ("mutex_h_exempt", "src/common/mutex.h", "std::mutex mu_;"),
-            ("thread_budget_exempt", "src/common/thread_budget.cpp",
-             "const int n = omp_get_max_threads();"),
-            ("number_text_exempt", "src/common/number_text.cpp",
-             "double v = std::strtod(p, &end);")):
+    # Path-dependent rules: the exemptions must hold for the owning modules
+    # themselves, and stateful-stream applies only to simulation code.
+    for name, path, source, expected in PATH_CASES:
         got = {rule for rule, _, _ in check_file(path, source, set())}
-        if got:
-            print(f"self-test FAIL {name}: got {sorted(got)}",
-                  file=sys.stderr)
+        if got != expected:
+            print(f"self-test FAIL {name}: expected {sorted(expected)}, "
+                  f"got {sorted(got)}", file=sys.stderr)
             failures += 1
     if failures:
         print(f"determinism_lint self-test: {failures} failure(s)",
               file=sys.stderr)
         return 2
-    print(f"determinism_lint self-test: {len(SELF_TEST_CASES) + 3} cases ok")
+    print(f"determinism_lint self-test: "
+          f"{len(SELF_TEST_CASES) + len(PATH_CASES)} cases ok")
     return 0
 
 

@@ -2,7 +2,8 @@
 # Serve smoke test (CI step; also runs locally): trains one epoch on the
 # digits scenario, checkpoints, pipes requests through the real
 # micro-batched sqvae_serve server (once from a file, once from a client
-# that writes 500 requests before reading), and diffs the output
+# that writes 500 requests before reading, then the same 500 under
+# trajectory noise), and diffs the output
 # byte-for-byte against --reference mode — which answers the same requests through
 # in-process Autoencoder calls (serve::execute_single) with no queue, no
 # workers, no batching. Identical bytes = the serving stack reproduced the
@@ -92,4 +93,22 @@ EOF
 diff -q "$WORK/piped.out" "$WORK/piped.reference.out"
 echo "piped run: $(wc -l < "$WORK/piped.out") responses," \
   "$(wc -c < "$WORK/piped.out") bytes, byte-identical to the reference"
+
+# The same 500 lines under trajectory noise. Measurement noise is keyed by
+# each row's circuit inputs, so noisy requests coalesce like exact ones and
+# the served bytes must still equal the reference; they must also differ
+# from the exact answers, or the noise never ran.
+echo "== serve smoke: 500 requests under trajectory noise =="
+NOISE_FLAGS="--backend=trajectory --gate_error=0.05 --shots=32"
+"$BUILD/sqvae_serve" $SERVE_FLAGS $NOISE_FLAGS --max_batch=8 --threads=2 \
+  < "$WORK/piped.jsonl" > "$WORK/noisy.out"
+"$BUILD/sqvae_serve" $SERVE_FLAGS $NOISE_FLAGS --reference \
+  < "$WORK/piped.jsonl" > "$WORK/noisy.reference.out"
+diff -q "$WORK/noisy.out" "$WORK/noisy.reference.out"
+if cmp -s "$WORK/noisy.out" "$WORK/piped.out"; then
+  echo "noisy run: output equals the exact output" >&2
+  exit 1
+fi
+echo "noisy run: $(wc -l < "$WORK/noisy.out") responses, byte-identical" \
+  "to the reference and different from the exact output"
 echo "serve smoke passed: served output is byte-identical to the in-process reference"

@@ -322,10 +322,6 @@ int main(int argc, char** argv) {
   config.early_stop_min_delta = flags.get_double("early_stop_min_delta");
   config.restore_best = flags.get_bool("restore_best");
 
-  // Apply the simulation regime now (fit() would too) so the thread count
-  // reported below reflects the stochastic-backend serialisation rule.
-  model->set_simulation_options(*config.sim);
-
   models::Trainer trainer(*model, config);
   std::printf(
       "sqvae_train: %s on %s (%zu train / %zu test, input dim %zu), "

@@ -14,9 +14,8 @@
 //     threshold, so they parallelise across requests, not inside a state);
 //     N shard processes each get process_threads() / N;
 //   * training: a team of TrainConfig::num_threads (default: the whole
-//     budget) over the samples of a batch, each member at budget / team;
-//     a stochastic-backend model runs a team of 1 whose member keeps the
-//     whole budget for its trajectory loop;
+//     budget) over the samples of a batch, each member at budget / team,
+//     under every simulation backend;
 //   * one large statevector: the batch loop runs a team of 1 and its
 //     member hands the whole budget to the amplitude-parallel kernels.
 //

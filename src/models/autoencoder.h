@@ -72,15 +72,10 @@ class Autoencoder {
   /// Switches the simulation regime of every quantum layer in the model
   /// (exact statevector, noise trajectories, or finite shots — see
   /// qsim/backend.h). No-op for purely classical models, so experiments can
-  /// set options uniformly across the autoencoder zoo.
+  /// set options uniformly across the autoencoder zoo. Measurement noise is
+  /// a pure function of each row's circuit inputs: it does not depend on
+  /// the row's batch, its thread or what the model ran before.
   virtual void set_simulation_options(const qsim::SimulationOptions&) {}
-
-  /// True when any quantum layer currently measures through a stochastic
-  /// backend (noise trajectories or finite shots). Those backends advance a
-  /// shared call counter per estimate, so concurrent forward passes would
-  /// race; the data-parallel trainer checks this and serialises such
-  /// models instead of sharding them across threads.
-  virtual bool stochastic_forward() const { return false; }
 
   // ---- derived functionality -------------------------------------------
 

@@ -50,10 +50,6 @@ class BaselineQuantumAutoencoder final : public Autoencoder {
   std::vector<ad::Parameter*> quantum_parameters() override;
   std::vector<ad::Parameter*> classical_parameters() override;
   void set_simulation_options(const qsim::SimulationOptions& sim) override;
-  bool stochastic_forward() const override {
-    return encoder_.backend().kind() != qsim::BackendKind::kStatevector ||
-           decoder_.backend().kind() != qsim::BackendKind::kStatevector;
-  }
 
   /// Encoder-only pass: input batch -> latent batch (tests, examples).
   Var encode(Tape& tape, Var input);

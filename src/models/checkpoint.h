@@ -18,9 +18,8 @@
 //   counters, the complete Adam state (per-group learning rates and m/v
 //   moments, step count — see nn::Adam::serialize), and the training Rng
 //   state. Restoring a v2 checkpoint makes a resumed Trainer::fit
-//   bit-equivalent to a run that was never interrupted (for exact-
-//   statevector training; stochastic measurement backends restart their
-//   noise streams — see trainer.h).
+//   bit-equivalent to a run that was never interrupted, under every
+//   simulation backend (see trainer.h).
 //
 // Loading validates the shape sequence against the target model and
 // rejects any non-whitespace trailing content (truncated or concatenated

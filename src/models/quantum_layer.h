@@ -82,8 +82,8 @@ class QuantumLayer {
   const qsim::SimulationBackend& backend() const { return *backend_; }
 
   /// Switches the simulation regime in place (e.g. train exactly, evaluate
-  /// under shot noise). Replaces the backend, so stochastic streams restart
-  /// from the new options' seed.
+  /// under shot noise). Stochastic estimates then draw from the new
+  /// options' seed, keyed by each row's circuit inputs (qsim/backend.h).
   void set_simulation_options(const qsim::SimulationOptions& options);
 
  private:

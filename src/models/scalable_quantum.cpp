@@ -156,16 +156,6 @@ void ScalableQuantumAutoencoder::set_simulation_options(
   }
 }
 
-bool ScalableQuantumAutoencoder::stochastic_forward() const {
-  for (const QuantumLayer& l : encoder_patches_) {
-    if (l.backend().kind() != qsim::BackendKind::kStatevector) return true;
-  }
-  for (const QuantumLayer& l : decoder_patches_) {
-    if (l.backend().kind() != qsim::BackendKind::kStatevector) return true;
-  }
-  return false;
-}
-
 std::vector<ad::Parameter*>
 ScalableQuantumAutoencoder::classical_parameters() {
   std::vector<ad::Parameter*> out;

@@ -56,7 +56,6 @@ class ScalableQuantumAutoencoder final : public Autoencoder {
   std::vector<ad::Parameter*> quantum_parameters() override;
   std::vector<ad::Parameter*> classical_parameters() override;
   void set_simulation_options(const qsim::SimulationOptions& sim) override;
-  bool stochastic_forward() const override;
 
   /// Encoder pass (patched embedding + measurements + encoder FC).
   Var encode(Tape& tape, Var input);

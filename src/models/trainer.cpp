@@ -106,12 +106,9 @@ struct ShardedEpochState {
 Trainer::Trainer(Autoencoder& model, const TrainConfig& config)
     : model_(model), config_(config) {}
 
-int Trainer::resolve_threads(const Autoencoder& model,
+int Trainer::resolve_threads(const Autoencoder& /*model*/,
                              const TrainConfig& config) {
-  // Stochastic measurement backends advance a shared call counter per
-  // estimate; concurrent forwards would race and break the determinism
-  // contract, so those models run the sharded math serially.
-  if (!thread_budget::kOpenMP || model.stochastic_forward()) return 1;
+  if (!thread_budget::kOpenMP) return 1;
   return thread_budget::split(thread_budget::current(), config.num_threads)
       .team;
 }
@@ -187,8 +184,7 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
   if (already_stopped) start_epoch = config_.epochs;
 
   // The sample team; each member runs the model at its share of the
-  // budget (a serial stochastic model keeps all of it for its trajectory
-  // loop).
+  // budget.
   const thread_budget::Split split = thread_budget::split(
       thread_budget::current(), resolve_threads(model_, config_));
 

@@ -16,11 +16,10 @@
 //     region. Both choices make the math independent of the thread count:
 //     training is bit-identical at 1 and N threads. The team takes the
 //     caller's thread budget (common/thread_budget.h) and each member
-//     runs its samples at budget / team. Models whose quantum layers
-//     measure through a stochastic backend
-//     (Autoencoder::stochastic_forward) automatically run a team of 1,
-//     because those backends advance a shared call counter per estimate;
-//     that one member keeps the whole budget for its trajectory loop.
+//     runs its samples at budget / team. Stochastic measurement backends
+//     (trajectory/shots) shard the same way: each estimate's noise is
+//     keyed by what its circuit sees (qsim/backend.h), not by a counter,
+//     so it too is independent of the thread count.
 //
 //   * serial (data_parallel = false) — the legacy one-tape-per-batch loop,
 //     kept as the A/B baseline for bench_train_micro and for models that
@@ -33,12 +32,9 @@
 // checkpoint (parameters + Adam moments + LR positions + epoch cursor +
 // Rng state, see models/checkpoint.h) every `checkpoint_every` epochs, and
 // with `resume = true` continues from it such that the resumed run is
-// bit-equivalent to one that was never interrupted. Caveat: the guarantee
-// covers exact-statevector training (the default). Stochastic measurement
-// backends (trajectory/shots) keep a per-backend call counter that is not
-// checkpointed — fit() rebuilds them from SimulationOptions, so their
-// measurement-noise streams restart at resume; gradients (exact adjoint
-// path) and every other state are still restored exactly.
+// bit-equivalent to one that was never interrupted, under every
+// simulation backend: measurement noise is a function of the restored
+// parameters and the data, so it needs no state of its own.
 #pragma once
 
 #include <cstdint>
@@ -145,11 +141,10 @@ class Trainer {
   /// parameters failed to load).
   bool best_restored() const { return best_restored_; }
 
-  /// Team size the data-parallel engine actually uses for `model` under
-  /// `config` and the calling thread's budget (1 for stochastic-backend
-  /// models, whose one member keeps the whole budget, or OpenMP-less
-  /// builds). Exposed for benches and tests.
-  static int resolve_threads(const Autoencoder& model,
+  /// Team size the data-parallel engine uses under `config` and the
+  /// calling thread's budget (1 in OpenMP-less builds). The same for every
+  /// model; the model argument is unused. Exposed for benches and tests.
+  static int resolve_threads(const Autoencoder& /*model*/,
                              const TrainConfig& config);
 
  private:

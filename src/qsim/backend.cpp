@@ -1,6 +1,7 @@
 #include "qsim/backend.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -11,8 +12,6 @@
 
 namespace sqvae::qsim {
 
-namespace backend_detail {
-
 namespace {
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -22,13 +21,15 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 }  // namespace
 
-std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t call,
-                          std::uint64_t sample, std::uint64_t draw) {
+namespace backend_detail {
+
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t key,
+                          std::uint64_t index, std::uint64_t draw) {
   // Chained avalanches: each input fully diffuses before the next folds in,
-  // so (seed, call, sample, draw) tuples map to well-separated streams.
+  // so (seed, key, index, draw) tuples map to well-separated streams.
   std::uint64_t s = splitmix64(seed);
-  s = splitmix64(s ^ call);
-  s = splitmix64(s ^ sample);
+  s = splitmix64(s ^ key);
+  s = splitmix64(s ^ index);
   return splitmix64(s ^ draw);
 }
 
@@ -44,6 +45,24 @@ SimulationOptions derive_layer_options(const SimulationOptions& options,
 namespace {
 
 using backend_detail::derive_seed;
+
+/// Content key of one sample: a SplitMix avalanche over the bit patterns of
+/// its slot values and initial amplitudes — everything its circuit sees.
+/// Draw `draw` of the sample seeds its Rng with
+/// derive_seed(options.seed, key, 0, draw), so equal inputs replay equal
+/// noise wherever and however often they run.
+std::uint64_t content_key(const std::vector<double>& params,
+                          const Statevector& initial) {
+  std::uint64_t key = splitmix64(params.size());
+  for (const double v : params) {
+    key = splitmix64(key ^ std::bit_cast<std::uint64_t>(v));
+  }
+  for (const cplx& a : initial.amplitudes()) {
+    key = splitmix64(key ^ std::bit_cast<std::uint64_t>(a.real()));
+    key = splitmix64(key ^ std::bit_cast<std::uint64_t>(a.imag()));
+  }
+  return key;
+}
 
 /// Writes the measurement (per-qubit <Z> or basis probabilities) into a
 /// caller-owned row — the hot-loop variant, so per-trajectory measurements
@@ -278,10 +297,10 @@ constexpr std::size_t kTrajectoryChunk = 256;
 /// Runs trajectories [first, first + count) for one sample and fills
 /// `rows` (count x row_size). OpenMP-parallel over the chunk; deterministic
 /// across thread counts because every trajectory owns a derived RNG stream
-/// (keyed by its global index) and its own output row.
+/// (keyed by the sample's content key and the trajectory's global index)
+/// and its own output row.
 void run_trajectory_chunk(const TrajectorySample& sample,
-                          const SimulationOptions& options,
-                          std::uint64_t call, std::uint64_t sample_index,
+                          const SimulationOptions& options, std::uint64_t key,
                           bool probabilities,
                           const std::vector<double>& noiseless,
                           std::size_t first, std::size_t count,
@@ -299,10 +318,9 @@ void run_trajectory_chunk(const TrajectorySample& sample,
     Statevector scratch(sample.noiseless_final().num_qubits());
 #pragma omp for schedule(static)
     for (std::int64_t t = 0; t < n; ++t) {
-      sqvae::Rng rng(
-          derive_seed(options.seed, call, sample_index,
-                      static_cast<std::uint64_t>(first) +
-                          static_cast<std::uint64_t>(t)));
+      sqvae::Rng rng(derive_seed(
+          options.seed, key, 0,
+          static_cast<std::uint64_t>(first) + static_cast<std::uint64_t>(t)));
       const Statevector* final_state =
           sample.run(options.noise.gate_error, rng, fuser, scratch);
       double* row = rows.data() + static_cast<std::size_t>(t) * row_size;
@@ -321,9 +339,8 @@ void run_trajectory_chunk(const TrajectorySample& sample,
 /// bounded memory.
 std::vector<double> trajectory_mean(const TrajectorySample& sample,
                                     const SimulationOptions& options,
-                                    std::uint64_t call,
-                                    std::uint64_t sample_index,
-                                    bool probabilities, std::size_t row_size,
+                                    std::uint64_t key, bool probabilities,
+                                    std::size_t row_size,
                                     std::vector<double>& chunk_rows,
                                     std::vector<double>* sum_squares) {
   const std::vector<double> noiseless =
@@ -335,8 +352,8 @@ std::vector<double> trajectory_mean(const TrajectorySample& sample,
        first += kTrajectoryChunk) {
     const std::size_t count =
         std::min(kTrajectoryChunk, options.shots - first);
-    run_trajectory_chunk(sample, options, call, sample_index, probabilities,
-                         noiseless, first, count, chunk_rows, row_size);
+    run_trajectory_chunk(sample, options, key, probabilities, noiseless, first,
+                         count, chunk_rows, row_size);
     for (std::size_t t = 0; t < count; ++t) {
       const double* row = chunk_rows.data() + t * row_size;
       for (std::size_t i = 0; i < row_size; ++i) {
@@ -376,28 +393,14 @@ std::size_t sample_from_cdf(const std::vector<double>& cdf, sqvae::Rng& rng) {
 
 // ---- SimulationBackend ----------------------------------------------------
 
-std::vector<std::vector<double>> SimulationBackend::expectations_z_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) {
-  return expectations_z_batch_at(exec, params_batch, initials, next_call());
-}
-
-std::vector<std::vector<double>> SimulationBackend::probabilities_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) {
-  return probabilities_batch_at(exec, params_batch, initials, next_call());
-}
-
 std::vector<double> SimulationBackend::expectations_z(
-    const CircuitExecutor& exec, const std::vector<double>& params) {
+    const CircuitExecutor& exec, const std::vector<double>& params) const {
   const std::vector<Statevector> initials(1, Statevector(exec.num_qubits()));
   return expectations_z_batch(exec, {params}, initials)[0];
 }
 
 std::vector<double> SimulationBackend::probabilities(
-    const CircuitExecutor& exec, const std::vector<double>& params) {
+    const CircuitExecutor& exec, const std::vector<double>& params) const {
   const std::vector<Statevector> initials(1, Statevector(exec.num_qubits()));
   return probabilities_batch(exec, {params}, initials)[0];
 }
@@ -435,17 +438,17 @@ std::vector<std::vector<double>> exact_measurements(
 
 }  // namespace
 
-std::vector<std::vector<double>> StatevectorBackend::expectations_z_batch_at(
+std::vector<std::vector<double>> StatevectorBackend::expectations_z_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, std::uint64_t) const {
+    const std::vector<Statevector>& initials) const {
   return exact_measurements(exec, params_batch, initials, false);
 }
 
-std::vector<std::vector<double>> StatevectorBackend::probabilities_batch_at(
+std::vector<std::vector<double>> StatevectorBackend::probabilities_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, std::uint64_t) const {
+    const std::vector<Statevector>& initials) const {
   return exact_measurements(exec, params_batch, initials, true);
 }
 
@@ -462,7 +465,7 @@ std::vector<std::vector<double>> trajectory_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials, const SimulationOptions& options,
-    std::uint64_t call, bool probabilities) {
+    bool probabilities) {
   assert(params_batch.size() == initials.size());
   const std::size_t row_size =
       probabilities ? (std::size_t{1} << exec.num_qubits())
@@ -471,33 +474,34 @@ std::vector<std::vector<double>> trajectory_measurements(
   std::vector<double> chunk_rows;  // trajectory buffer, reused throughout
   for (std::size_t s = 0; s < params_batch.size(); ++s) {
     const TrajectorySample sample(exec, params_batch[s], initials[s]);
-    out[s] = trajectory_mean(sample, options, call, s, probabilities,
-                             row_size, chunk_rows, nullptr);
+    out[s] = trajectory_mean(sample, options,
+                             content_key(params_batch[s], initials[s]),
+                             probabilities, row_size, chunk_rows, nullptr);
   }
   return out;
 }
 
 }  // namespace
 
-std::vector<std::vector<double>> TrajectoryBackend::expectations_z_batch_at(
+std::vector<std::vector<double>> TrajectoryBackend::expectations_z_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, std::uint64_t call) const {
-  return trajectory_measurements(exec, params_batch, initials, options_, call,
+    const std::vector<Statevector>& initials) const {
+  return trajectory_measurements(exec, params_batch, initials, options_,
                                  false);
 }
 
-std::vector<std::vector<double>> TrajectoryBackend::probabilities_batch_at(
+std::vector<std::vector<double>> TrajectoryBackend::probabilities_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, std::uint64_t call) const {
-  return trajectory_measurements(exec, params_batch, initials, options_, call,
+    const std::vector<Statevector>& initials) const {
+  return trajectory_measurements(exec, params_batch, initials, options_,
                                  true);
 }
 
 TrajectoryEstimate TrajectoryBackend::expectations_z_with_stats(
     const CircuitExecutor& exec, const std::vector<double>& params,
-    const Statevector* initial) {
+    const Statevector* initial) const {
   const Statevector start =
       initial != nullptr ? *initial : Statevector(exec.num_qubits());
   const std::size_t n = static_cast<std::size_t>(exec.num_qubits());
@@ -507,8 +511,8 @@ TrajectoryEstimate TrajectoryBackend::expectations_z_with_stats(
   std::vector<double> sum_squares;
 
   TrajectoryEstimate estimate;
-  estimate.mean = trajectory_mean(sample, options_, next_call(), 0, false, n,
-                                  chunk_rows, &sum_squares);
+  estimate.mean = trajectory_mean(sample, options_, content_key(params, start),
+                                  false, n, chunk_rows, &sum_squares);
   estimate.std_error.assign(n, 0.0);
   if (options_.shots > 1) {
     for (std::size_t q = 0; q < n; ++q) {
@@ -537,7 +541,7 @@ std::vector<std::vector<double>> shot_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials, const SimulationOptions& options,
-    std::uint64_t call, bool probabilities) {
+    bool probabilities) {
   assert(params_batch.size() == initials.size());
   // Exact states through the fused plan, then finite sampling on top.
   std::vector<Statevector> states = initials;
@@ -558,7 +562,8 @@ std::vector<std::vector<double>> shot_measurements(
       const std::size_t s = static_cast<std::size_t>(i);
       // One private stream per sample: shots are drawn serially within the
       // sample, so results do not depend on how samples map to threads.
-      sqvae::Rng rng(derive_seed(options.seed, call, s, 0));
+      sqvae::Rng rng(derive_seed(
+          options.seed, content_key(params_batch[s], initials[s]), 0, 0));
       const std::vector<double> cdf = cumulative_distribution(states[s]);
       std::vector<double>& row = out[s];
       row.assign(probabilities ? dim : n, 0.0);
@@ -580,19 +585,18 @@ std::vector<std::vector<double>> shot_measurements(
 
 }  // namespace
 
-std::vector<std::vector<double>> ShotSamplingBackend::expectations_z_batch_at(
+std::vector<std::vector<double>> ShotSamplingBackend::expectations_z_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, std::uint64_t call) const {
-  return shot_measurements(exec, params_batch, initials, options_, call,
-                           false);
+    const std::vector<Statevector>& initials) const {
+  return shot_measurements(exec, params_batch, initials, options_, false);
 }
 
-std::vector<std::vector<double>> ShotSamplingBackend::probabilities_batch_at(
+std::vector<std::vector<double>> ShotSamplingBackend::probabilities_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, std::uint64_t call) const {
-  return shot_measurements(exec, params_batch, initials, options_, call, true);
+    const std::vector<Statevector>& initials) const {
+  return shot_measurements(exec, params_batch, initials, options_, true);
 }
 
 }  // namespace sqvae::qsim

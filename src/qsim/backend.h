@@ -34,18 +34,25 @@
 //     on a per-sample cumulative distribution (the hardware-realism
 //     regime: sampling noise ~ sqrt((1 - <Z>^2) / shots)).
 //
-// Determinism: every stochastic draw comes from a private Rng seeded by
-// mixing (options.seed, call counter, sample index, trajectory index), and
-// Monte-Carlo means are reduced in fixed trajectory order from bounded
-// per-trajectory chunk buffers. Results are therefore bit-reproducible
-// run-to-run
-// AND across OpenMP thread counts: threads never share a stream, and no
-// floating-point reduction happens in thread order. (If a future backend
-// ever accumulates inside the parallel region instead, exact bitwise
-// equality across thread counts is lost to reduction-order round-off —
-// keep the buffer-then-serial-sum shape.) The call counter advances the
-// stream between calls so repeated batches see fresh randomness, while two
-// backends created with equal options replay identical call sequences.
+// Determinism: every stochastic estimate is a pure function of its inputs.
+// Sample s of a batch draws from private Rng streams seeded by mixing
+// (options.seed, content key, draw index), where the content key is a
+// SplitMix avalanche over the bit patterns of params_batch[s] and the
+// amplitudes of initials[s] — what that sample's circuit sees. The
+// backends therefore keep no state: a row computed inside a batch is
+// bit-identical to the same row computed alone, repeats replay, and any
+// number of threads may run through one backend. Monte-Carlo means are
+// reduced in fixed trajectory order from bounded per-trajectory chunk
+// buffers, so results are also bit-identical across OpenMP thread counts:
+// threads never share a stream, and no floating-point reduction happens in
+// thread order. (If a future backend ever accumulates inside the parallel
+// region instead, exact bitwise equality across thread counts is lost to
+// reduction-order round-off — keep the buffer-then-serial-sum shape.)
+//
+// Identical circuit inputs under identical options share one noise draw
+// (common random numbers); each estimate stays unbiased with the same
+// variance. Independent repeats of one input need distinct seeds. The
+// exact backend computes no key.
 //
 // Gradients are *not* routed through the stochastic backends: QuantumLayer
 // always differentiates the exact statevector path (adjoint sweeps through
@@ -56,7 +63,6 @@
 // bench_gradient_variance.cpp.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -101,60 +107,32 @@ class SimulationBackend {
   /// Short human-readable name ("statevector", "trajectory", "shots").
   virtual const char* name() const = 0;
 
-  /// Per-sample per-qubit <Z> estimates with the stochastic stream's call
-  /// index supplied explicitly. params_batch[i] runs from initials[i]
-  /// (pass |0...0> states for circuits without embedding). Batched and
-  /// OpenMP-parallel like CircuitExecutor::run_batch.
-  ///
-  /// This is the *pure* half of the API: const, no backend state touched,
-  /// so any number of threads may execute through one shared backend
-  /// concurrently (the serving layer does), and replaying a call index
-  /// replays its exact randomness.
-  virtual std::vector<std::vector<double>> expectations_z_batch_at(
+  /// Per-sample per-qubit <Z> estimates. params_batch[i] runs from
+  /// initials[i] (pass |0...0> states for circuits without embedding).
+  /// Batched and OpenMP-parallel like CircuitExecutor::run_batch. Const and
+  /// stateless, so any number of threads may execute through one shared
+  /// backend concurrently (the trainer's sample team does).
+  virtual std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials, std::uint64_t call) const = 0;
+      const std::vector<Statevector>& initials) const = 0;
 
-  /// Per-sample basis-state probability estimates (length 2^n each); pure,
-  /// like expectations_z_batch_at.
-  virtual std::vector<std::vector<double>> probabilities_batch_at(
+  /// Per-sample basis-state probability estimates (length 2^n each), like
+  /// expectations_z_batch.
+  virtual std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials, std::uint64_t call) const = 0;
-
-  // ---- stateful conveniences (advance the call counter) -----------------
-  // Each call claims the next index of an atomic counter, so repeated
-  // batches see fresh randomness and concurrent callers never corrupt the
-  // counter. Concurrent *ordering* of the claims is scheduling-dependent,
-  // though — code that needs reproducible concurrency passes explicit call
-  // indices to the _at variants instead.
-  std::vector<std::vector<double>> expectations_z_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials);
-  std::vector<std::vector<double>> probabilities_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials);
+      const std::vector<Statevector>& initials) const = 0;
 
   // ---- single-sample conveniences (forward to the batch calls) ----------
   std::vector<double> expectations_z(const CircuitExecutor& exec,
-                                     const std::vector<double>& params);
+                                     const std::vector<double>& params) const;
   std::vector<double> probabilities(const CircuitExecutor& exec,
-                                    const std::vector<double>& params);
+                                    const std::vector<double>& params) const;
 
   /// Builds the backend selected by `options`.
   static std::unique_ptr<SimulationBackend> create(
       const SimulationOptions& options);
-
- protected:
-  /// Claims the next call index of the stateful API.
-  std::uint64_t next_call() {
-    return calls_.fetch_add(1, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> calls_{0};
 };
 
 /// Monte-Carlo estimate with its standard error, for consumers that need
@@ -171,22 +149,20 @@ class TrajectoryBackend final : public SimulationBackend {
   BackendKind kind() const override { return BackendKind::kTrajectory; }
   const char* name() const override { return "trajectory"; }
 
-  std::vector<std::vector<double>> expectations_z_batch_at(
+  std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::uint64_t call) const override;
-  std::vector<std::vector<double>> probabilities_batch_at(
+      const std::vector<Statevector>& initials) const override;
+  std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::uint64_t call) const override;
+      const std::vector<Statevector>& initials) const override;
 
   /// Like expectations_z for one sample, but also returns per-qubit
   /// standard errors computed from the per-trajectory spread.
   TrajectoryEstimate expectations_z_with_stats(
       const CircuitExecutor& exec, const std::vector<double>& params,
-      const Statevector* initial = nullptr);
+      const Statevector* initial = nullptr) const;
 
  private:
   SimulationOptions options_;
@@ -199,16 +175,14 @@ class ShotSamplingBackend final : public SimulationBackend {
   BackendKind kind() const override { return BackendKind::kShotSampling; }
   const char* name() const override { return "shots"; }
 
-  std::vector<std::vector<double>> expectations_z_batch_at(
+  std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::uint64_t call) const override;
-  std::vector<std::vector<double>> probabilities_batch_at(
+      const std::vector<Statevector>& initials) const override;
+  std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::uint64_t call) const override;
+      const std::vector<Statevector>& initials) const override;
 
  private:
   SimulationOptions options_;
@@ -221,25 +195,22 @@ class StatevectorBackend final : public SimulationBackend {
   BackendKind kind() const override { return BackendKind::kStatevector; }
   const char* name() const override { return "statevector"; }
 
-  // Exact, so the call index is ignored.
-  std::vector<std::vector<double>> expectations_z_batch_at(
+  std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::uint64_t call) const override;
-  std::vector<std::vector<double>> probabilities_batch_at(
+      const std::vector<Statevector>& initials) const override;
+  std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::uint64_t call) const override;
+      const std::vector<Statevector>& initials) const override;
 };
 
 namespace backend_detail {
-/// Seed derivation shared by the stochastic backends: a SplitMix64-style
-/// avalanche over (seed, call, sample, draw). Exposed so tests can verify
-/// the thread-count-independent stream design against a serial reference.
-std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t call,
-                          std::uint64_t sample, std::uint64_t draw);
+/// Seed derivation shared by the stochastic backends, the per-layer
+/// options and the serving layer's request streams: a SplitMix64-style
+/// avalanche over (seed, key, index, draw).
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t key,
+                          std::uint64_t index, std::uint64_t draw);
 }  // namespace backend_detail
 
 }  // namespace sqvae::qsim

@@ -330,7 +330,9 @@ const Dispatch& dispatch() {
 // OpenMP dispatch cost vanishes against the chunk's arithmetic.
 constexpr std::size_t kParallelChunk = std::size_t{1} << 12;
 
-std::atomic<std::size_t>& threshold_storage() {
+// A run-time setting, not a stream that feeds results: every kernel is
+// bit-identical at every threshold value.
+std::atomic<std::size_t>& threshold_storage() {  // lint-allow(stateful-stream)
   static std::atomic<std::size_t> t{
       number_text::env_setting("SQVAE_PAR_THRESHOLD", std::size_t{1} << 15)};
   return t;

@@ -86,9 +86,9 @@ struct Request {
   std::string model;  // registry name
   Endpoint endpoint = Endpoint::kReconstruct;
   std::vector<double> input;  // empty for latent_sample
-  /// Every stochastic draw this request triggers (reparameterisation
-  /// noise, latent sampling, stochastic measurement streams) derives from
-  /// this seed and nothing else — the serving determinism contract.
+  /// Every per-request draw (reparameterisation noise, latent sampling)
+  /// derives from this seed and nothing else — the serving determinism
+  /// contract. Measurement noise is keyed by circuit inputs instead.
   std::uint64_t seed = 0;
   /// Called exactly once with the result: by the executing worker, or
   /// inline by push() when the request is shed or the queue is closed.

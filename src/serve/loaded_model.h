@@ -2,8 +2,7 @@
 //
 // The serving layer never hands the zoo's mutable Autoencoder objects to
 // more than one thread: forward passes build tapes against the model's
-// ad::Parameter objects, and stochastic measurement backends are replaced
-// per request (see service.h), so a shared instance would race. Instead a
+// ad::Parameter objects, so a shared instance would race. Instead a
 // checkpoint loads once into a LoadedModel — the architecture description
 // (ModelSpec) plus a frozen copy of every parameter matrix — and each
 // worker thread materialises its own private *replica* from that snapshot.
@@ -38,9 +37,9 @@ struct ModelSpec {
   int entangling_layers = 3;
   int patches = 2;          // sq-* only
   std::size_t latent = 6;   // classical models only
-  /// Simulation regime replicas run under. For stochastic regimes
-  /// (trajectory / shots) the service derives a fresh per-request seed from
-  /// this value and the request seed — see service.h.
+  /// Simulation regime replicas run under. Stochastic regimes (trajectory /
+  /// shots) key each estimate by its circuit inputs under this seed, so
+  /// measurement noise does not depend on the request seed — see service.h.
   qsim::SimulationOptions sim{};
 };
 
@@ -70,11 +69,6 @@ class LoadedModel {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t latent_dim() const { return latent_dim_; }
   bool is_generative() const { return generative_; }
-  /// True when the spec's simulation regime is stochastic (trajectory or
-  /// shot-sampling measurements).
-  bool stochastic() const {
-    return spec_.sim.backend != qsim::BackendKind::kStatevector;
-  }
 
   /// Materialises a private mutable replica carrying this snapshot's
   /// parameters. Each worker thread owns its own replica; replicas of one

@@ -11,28 +11,13 @@ namespace sqvae::serve {
 
 namespace {
 
-// Domain-separation salts for the two per-request streams: noise (latent
-// sampling, VAE reparameterisation) and stochastic-measurement seeding.
-// Distinct salts keep the streams decorrelated even though both derive
-// from the same request seed.
+// Domain-separation salt of the per-request noise stream (latent
+// sampling, VAE reparameterisation).
 constexpr std::uint64_t kNoiseSalt = 0x5e7e0001ull;
-constexpr std::uint64_t kMeasureSalt = 0x5e7e0002ull;
 
 /// Private noise generator of a request.
 sqvae::Rng request_noise_rng(std::uint64_t seed) {
   return sqvae::Rng(qsim::backend_detail::derive_seed(kNoiseSalt, seed, 0, 0));
-}
-
-/// Simulation options of a stochastic request: the spec's regime with a
-/// stream seed mixed from (spec seed, request seed). Installing these on a
-/// replica also rewinds its backends' call counters, so the request's
-/// measurement noise is a pure function of the seed.
-qsim::SimulationOptions request_sim_options(const ModelSpec& spec,
-                                            std::uint64_t seed) {
-  qsim::SimulationOptions opts = spec.sim;
-  opts.seed =
-      qsim::backend_detail::derive_seed(spec.sim.seed, kMeasureSalt, seed, 0);
-  return opts;
 }
 
 /// z ~ N(0, I) row for latent_sample, fully determined by the request seed.
@@ -73,19 +58,12 @@ std::string validate(const LoadedModel& loaded, Endpoint endpoint,
 }
 
 /// True when requests on this (model, endpoint) may share one batched
-/// pass: every stochastic draw must already be per-request (latent_sample
-/// pre-draws z from the seed) or absent. See the header's contract.
+/// pass: every draw must be per row — measurement noise is keyed by each
+/// row's circuit inputs, latent_sample pre-draws z from the seed. Only a
+/// VAE's reconstruct draws per batch (its reparameterisation noise), so it
+/// runs per request. See the header's contract.
 bool coalescible(const LoadedModel& loaded, Endpoint endpoint) {
-  if (loaded.stochastic()) return false;
-  switch (endpoint) {
-    case Endpoint::kEncode:
-    case Endpoint::kDecode:
-    case Endpoint::kLatentSample:
-      return true;
-    case Endpoint::kReconstruct:
-      return !loaded.is_generative();  // VAEs reparameterise per request
-  }
-  return false;
+  return endpoint != Endpoint::kReconstruct || !loaded.is_generative();
 }
 
 /// Executes already-validated requests as one batched pass. Requires
@@ -159,36 +137,12 @@ InferenceResult execute_single(const LoadedModel& loaded,
     return result;
   }
 
-  // Stochastic path: re-seed the replica's measurement backends from the
-  // request (no-op for purely classical models), then run a single row
-  // with a private noise stream.
-  if (loaded.stochastic()) {
-    replica.set_simulation_options(request_sim_options(loaded.spec(), seed));
-  }
+  // VAE reconstruct: one row with the request's private reparameterisation
+  // noise.
   sqvae::Rng noise = request_noise_rng(seed);
   Matrix row(1, input.size());
   for (std::size_t c = 0; c < input.size(); ++c) row(0, c) = input[c];
-
-  Matrix out;
-  switch (endpoint) {
-    case Endpoint::kEncode:
-      out = replica.encode_values(row);
-      break;
-    case Endpoint::kDecode:
-      out = replica.decode_values(row);
-      break;
-    case Endpoint::kReconstruct:
-      out = replica.reconstruct(row, noise);
-      break;
-    case Endpoint::kLatentSample: {
-      const std::vector<double> z =
-          latent_sample_row(loaded.latent_dim(), seed);
-      Matrix zrow(1, z.size());
-      for (std::size_t c = 0; c < z.size(); ++c) zrow(0, c) = z[c];
-      out = replica.decode_values(zrow);
-      break;
-    }
-  }
+  const Matrix out = replica.reconstruct(row, noise);
   result.values.resize(out.cols());
   for (std::size_t c = 0; c < out.cols(); ++c) result.values[c] = out(0, c);
   return result;
@@ -333,8 +287,8 @@ void InferenceService::execute_batch(
     return;
   }
 
-  // Stochastic (or per-request-noise) work: the batch still amortised
-  // queue/wakeup costs, but execution is per request by contract.
+  // VAE reconstruct: the batch still amortised queue/wakeup costs, but
+  // each request draws its own reparameterisation noise.
   for (Request* r : work) {
     r->on_done(
         execute_single(loaded, *replica.model, endpoint, r->input, r->seed));

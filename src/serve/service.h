@@ -14,18 +14,18 @@
 // composition, worker count, queue timing, or concurrent traffic. It is
 // enforced by construction:
 //
-//   * deterministic work (statevector-regime encode/decode, non-generative
-//     reconstruct, and the decode half of latent_sample) is coalesced into
-//     one batched pass — sound because every layer of the stack computes
+//   * encode, decode, non-generative reconstruct and the decode half of
+//     latent_sample are coalesced into one batched pass under every
+//     simulation backend — sound because every layer of the stack computes
 //     rows independently (linear layers are per-row dot products, each
-//     sample owns its statevector), so row i of a size-B batch is bit-
-//     identical to a size-1 batch;
-//   * stochastic work (VAE reparameterisation, trajectory/shot
-//     measurement) runs per request: reparameterisation noise comes from a
-//     private Rng derived from the request seed, and stochastic
-//     measurement backends are re-seeded per request by mixing the spec
-//     seed with the request seed (which also rewinds their call counter),
-//     so replaying a seed replays the exact noise.
+//     sample owns its statevector, and trajectory/shot measurement noise
+//     is keyed by the row's own circuit inputs — qsim/backend.h), so row i
+//     of a size-B batch is bit-identical to a size-1 batch. Measurement
+//     noise therefore does not depend on the request seed; a VAE's answers
+//     still do, through z;
+//   * VAE reconstruct runs per request: its reparameterisation noise comes
+//     from a private Rng derived from the request seed, so replaying a seed
+//     replays the exact noise.
 //
 // execute_single() below *is* the contract's reference implementation:
 // serving N requests concurrently through the pool is bit-identical to
@@ -81,7 +81,7 @@ struct ServeConfig {
 
 /// Reference implementation of one request — see the determinism contract
 /// above. `replica` must be a private (not concurrently used) replica of
-/// `loaded`; stochastic requests re-seed its measurement backends.
+/// `loaded`.
 InferenceResult execute_single(const LoadedModel& loaded,
                                models::Autoencoder& replica, Endpoint endpoint,
                                const std::vector<double>& input,

@@ -43,9 +43,9 @@ constexpr Row kRows[] = {
     {"train, default team", 4, 1, 0, 0, 4, 1},
     {"train, num_threads=2", 4, 1, 0, 2, 2, 2},
     {"train, num_threads=3 on 16", 16, 1, 0, 3, 3, 5},
-    // A stochastic-backend model trains serially; its one member keeps the
-    // whole budget for the trajectory loop.
-    {"train, serial noisy", 4, 1, 0, 1, 1, 4},
+    // A team of one: its member keeps the whole budget for the amplitude
+    // kernels or the trajectory loop.
+    {"train, num_threads=1", 4, 1, 0, 1, 1, 4},
 };
 
 TEST(ThreadBudget, SplitTable) {
@@ -87,19 +87,24 @@ TEST(ThreadBudget, ScopesNestAndRestore) {
 }
 
 TEST(ThreadBudget, TrainerTeamTakesTheCallersBudget) {
-  Rng rng(5);
-  models::ScalableQuantumConfig c;
-  c.input_dim = 16;
-  c.patches = 2;
-  c.entangling_layers = 1;
-  const auto model = models::make_sq_ae(c, rng);
-  models::TrainConfig config;
-  const Scope budget(3);
-  EXPECT_EQ(models::Trainer::resolve_threads(*model, config),
-            kOpenMP ? 3 : 1);
-  config.num_threads = 2;
-  EXPECT_EQ(models::Trainer::resolve_threads(*model, config),
-            kOpenMP ? 2 : 1);
+  // Exact and stochastic measurement alike: noisy models shard too.
+  for (const auto backend : {qsim::BackendKind::kStatevector,
+                             qsim::BackendKind::kTrajectory}) {
+    Rng rng(5);
+    models::ScalableQuantumConfig c;
+    c.input_dim = 16;
+    c.patches = 2;
+    c.entangling_layers = 1;
+    c.sim.backend = backend;
+    const auto model = models::make_sq_ae(c, rng);
+    models::TrainConfig config;
+    const Scope budget(3);
+    EXPECT_EQ(models::Trainer::resolve_threads(*model, config),
+              kOpenMP ? 3 : 1);
+    config.num_threads = 2;
+    EXPECT_EQ(models::Trainer::resolve_threads(*model, config),
+              kOpenMP ? 2 : 1);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // Tests of the data-parallel training engine and true checkpoint/resume:
 // sample-weighted epoch statistics, bit-identical training across OpenMP
 // thread counts, v2 checkpoints that round-trip optimizer + RNG state, and
-// kill-and-resume runs reproducing the uninterrupted trajectory exactly.
+// kill-and-resume runs reproducing the uninterrupted trajectory exactly —
+// under every simulation backend.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "common/rng.h"
+#include "common/thread_budget.h"
 #include "data/dataset.h"
 #include "data/digits.h"
 #include "models/checkpoint.h"
@@ -19,6 +24,21 @@
 
 namespace sqvae::models {
 namespace {
+
+qsim::SimulationOptions trajectory_sim() {
+  qsim::SimulationOptions sim;
+  sim.backend = qsim::BackendKind::kTrajectory;
+  sim.shots = 16;
+  sim.noise.gate_error = 0.05;
+  return sim;
+}
+
+qsim::SimulationOptions shot_sim() {
+  qsim::SimulationOptions sim;
+  sim.backend = qsim::BackendKind::kShotSampling;
+  sim.shots = 64;
+  return sim;
+}
 
 Matrix digits_matrix(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
@@ -86,67 +106,64 @@ TEST(TrainerEngine, SerialEpochStatsWeightedBySampleCount) {
 TEST(TrainerEngine, ShardedBitIdenticalAcrossThreadCounts) {
   // The engine's contract: shard decomposition, per-sample noise streams,
   // and fixed-order reduction are all independent of the thread count, so
-  // training is bit-identical at 1 and N threads.
+  // training is bit-identical at 1 and N threads — stochastic measurement
+  // backends included, whose noise is keyed by each circuit's inputs.
   const Matrix data = digits_matrix(24, 31);
-  const auto run = [&data](int threads, std::vector<EpochStats>* history) {
-    Rng model_rng(32);
-    ScalableQuantumConfig c;
-    c.input_dim = 64;
-    c.patches = 2;
-    c.entangling_layers = 2;
-    auto model = make_sq_vae(c, model_rng);
-    TrainConfig config;
-    config.epochs = 3;
-    config.batch_size = 8;
-    config.quantum_lr = 0.03;
-    config.classical_lr = 0.01;
-    config.num_threads = threads;
-    Trainer trainer(*model, config);
-    Rng fit_rng(33);
-    *history = trainer.fit(data, &data, fit_rng);
-    return checkpoint_to_text(*model);
-  };
+  const std::optional<qsim::SimulationOptions> sims[] = {
+      std::nullopt, trajectory_sim(), shot_sim()};
+  for (const auto& sim : sims) {
+    SCOPED_TRACE(sim ? static_cast<int>(sim->backend) : -1);
+    const auto run = [&data, &sim](int threads,
+                                   std::vector<EpochStats>* history) {
+      Rng model_rng(32);
+      ScalableQuantumConfig c;
+      c.input_dim = 64;
+      c.patches = 2;
+      c.entangling_layers = 2;
+      auto model = make_sq_vae(c, model_rng);
+      TrainConfig config;
+      config.epochs = 3;
+      config.batch_size = 8;
+      config.quantum_lr = 0.03;
+      config.classical_lr = 0.01;
+      config.num_threads = threads;
+      config.sim = sim;
+      Trainer trainer(*model, config);
+      Rng fit_rng(33);
+      *history = trainer.fit(data, &data, fit_rng);
+      // The model now measures through `sim`; noisy models keep the team.
+      EXPECT_EQ(Trainer::resolve_threads(*model, config),
+                thread_budget::kOpenMP ? threads : 1);
+      return checkpoint_to_text(*model);
+    };
 
-  std::vector<EpochStats> h1, h3;
-  const std::string params1 = run(1, &h1);
-  const std::string params3 = run(3, &h3);
-  EXPECT_EQ(params1, params3);
-  ASSERT_EQ(h1.size(), h3.size());
-  for (std::size_t e = 0; e < h1.size(); ++e) {
-    EXPECT_EQ(h1[e].train_loss, h3[e].train_loss) << e;
-    EXPECT_EQ(h1[e].train_mse, h3[e].train_mse) << e;
-    EXPECT_EQ(h1[e].train_kl, h3[e].train_kl) << e;
-    EXPECT_EQ(h1[e].test_mse, h3[e].test_mse) << e;
+    std::vector<EpochStats> h1, h3;
+    const std::string params1 = run(1, &h1);
+    const std::string params3 = run(3, &h3);
+    EXPECT_EQ(params1, params3);
+    ASSERT_EQ(h1.size(), h3.size());
+    for (std::size_t e = 0; e < h1.size(); ++e) {
+      EXPECT_EQ(h1[e].train_loss, h3[e].train_loss) << e;
+      EXPECT_EQ(h1[e].train_mse, h3[e].train_mse) << e;
+      EXPECT_EQ(h1[e].train_kl, h3[e].train_kl) << e;
+      EXPECT_EQ(h1[e].test_mse, h3[e].test_mse) << e;
+    }
   }
 }
 
-TEST(TrainerEngine, StochasticBackendsForceSerialExecution) {
-  Rng rng(41);
-  ScalableQuantumConfig c;
-  c.input_dim = 64;
-  c.patches = 2;
-  c.entangling_layers = 1;
-  auto model = make_sq_ae(c, rng);
-  TrainConfig config;
-  config.num_threads = 4;
-  EXPECT_GE(Trainer::resolve_threads(*model, config), 1);
+using ModelFactory = std::function<std::unique_ptr<Autoencoder>(Rng&)>;
 
-  qsim::SimulationOptions sim;
-  sim.backend = qsim::BackendKind::kShotSampling;
-  model->set_simulation_options(sim);
-  EXPECT_TRUE(model->stochastic_forward());
-  EXPECT_EQ(Trainer::resolve_threads(*model, config), 1);
-
-  sim.backend = qsim::BackendKind::kStatevector;
-  model->set_simulation_options(sim);
-  EXPECT_FALSE(model->stochastic_forward());
+std::unique_ptr<Autoencoder> classical_vae(Rng& rng) {
+  return std::make_unique<ClassicalVae>(classical_config_64(6), rng);
 }
 
 // Shared body for the resume tests: train `total` epochs uninterrupted,
 // then train `cut` epochs, "kill", and resume to `total` with a freshly
 // constructed model; both checkpoints (parameters + Adam + RNG) and the
 // post-cut epoch statistics must match bit-for-bit.
-void expect_resume_equivalence(bool data_parallel) {
+void expect_resume_equivalence(
+    bool data_parallel, const ModelFactory& make_model = classical_vae,
+    const std::optional<qsim::SimulationOptions>& sim = std::nullopt) {
   const Matrix data = digits_matrix(32, 51);
   const std::string full_path = "/tmp/sqvae_engine_full.ckpt";
   const std::string part_path = "/tmp/sqvae_engine_part.ckpt";
@@ -159,26 +176,27 @@ void expect_resume_equivalence(bool data_parallel) {
   base.lr_decay = 0.9;
   base.data_parallel = data_parallel;
   base.checkpoint_every = 1;
+  base.sim = sim;
 
   // Uninterrupted reference.
   std::vector<EpochStats> full_history;
   {
     Rng model_rng(52);
-    ClassicalVae model(classical_config_64(6), model_rng);
+    const auto model = make_model(model_rng);
     TrainConfig config = base;
     config.checkpoint_path = full_path;
-    Trainer trainer(model, config);
+    Trainer trainer(*model, config);
     Rng fit_rng(53);
     full_history = trainer.fit(data, &data, fit_rng);
   }
   // Interrupted at `cut`...
   {
     Rng model_rng(52);
-    ClassicalVae model(classical_config_64(6), model_rng);
+    const auto model = make_model(model_rng);
     TrainConfig config = base;
     config.epochs = cut;
     config.checkpoint_path = part_path;
-    Trainer trainer(model, config);
+    Trainer trainer(*model, config);
     Rng fit_rng(53);
     trainer.fit(data, &data, fit_rng);
   }
@@ -187,11 +205,11 @@ void expect_resume_equivalence(bool data_parallel) {
   std::vector<EpochStats> resumed_history;
   {
     Rng model_rng(999);
-    ClassicalVae model(classical_config_64(6), model_rng);
+    const auto model = make_model(model_rng);
     TrainConfig config = base;
     config.checkpoint_path = part_path;
     config.resume = true;
-    Trainer trainer(model, config);
+    Trainer trainer(*model, config);
     Rng fit_rng(999);
     resumed_history = trainer.fit(data, &data, fit_rng);
   }
@@ -219,6 +237,19 @@ TEST(TrainerEngine, ResumeEqualsUninterruptedSharded) {
 
 TEST(TrainerEngine, ResumeEqualsUninterruptedSerial) {
   expect_resume_equivalence(/*data_parallel=*/false);
+}
+
+// Measurement noise is keyed by each circuit's inputs, so the restored
+// parameters alone replay it: resume stays bit-exact under noise.
+TEST(TrainerEngine, ResumeEqualsUninterruptedUnderTrajectoryNoise) {
+  const ModelFactory sq_vae = [](Rng& rng) -> std::unique_ptr<Autoencoder> {
+    ScalableQuantumConfig c;
+    c.input_dim = 64;
+    c.patches = 2;
+    c.entangling_layers = 2;
+    return make_sq_vae(c, rng);
+  };
+  expect_resume_equivalence(/*data_parallel=*/true, sq_vae, trajectory_sim());
 }
 
 TEST(TrainerEngine, EarlyStoppingAndBestTracking) {

@@ -6,10 +6,12 @@
 // channel, so over >= 2000 trajectories its per-qubit <Z> means must land
 // within 3 standard errors of the exact DensityMatrix result on randomized
 // noisy circuits; the shot backend's estimates must converge to the exact
-// statevector expectations as shots grow. All stochastic draws are seeded,
-// so every test is deterministic run-to-run.
+// statevector expectations as shots grow. All stochastic draws are seeded
+// and keyed by each circuit's inputs, so every test is deterministic
+// run-to-run, and a row's estimate does not depend on its batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -268,29 +270,65 @@ TEST(BackendDeterminism, DifferentSeedsDecorrelate) {
   EXPECT_TRUE(any_different);
 }
 
-TEST(BackendDeterminism, CallCounterAdvancesAndReplays) {
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    d = std::max(d, std::abs(a[i] - b[i]));
+  }
+  return d;
+}
+
+// A stochastic estimate is a function of its circuit's inputs alone: a
+// repeat, another batch position and other companions replay its bits,
+// while inputs whose measured distribution is the same bit for bit still
+// draw independent noise when any slot or initial amplitude differs.
+TEST(BackendDeterminism, NoiseIsKeyedByCircuitInputsOnly) {
   sqvae::Rng rng(7);
-  const Circuit c = random_circuit(3, 2);
+  Circuit c(3);
+  c.strongly_entangling_layers(2, 0);
   const CircuitExecutor exec(c);
   const auto params = random_params(c, rng);
-  const auto options = shot_options(500, 9);
+  const auto other_params = random_params(c, rng);
+  std::vector<double> x(8), other_x(8);
+  for (double& v : x) v = rng.uniform(0.1, 1.0);
+  for (double& v : other_x) v = rng.uniform(0.1, 1.0);
+  std::vector<double> neg_x = x;
+  for (double& v : neg_x) v = -v;
+  const Statevector a = amplitude_embedding(x, 3);
+  const Statevector other = amplitude_embedding(other_x, 3);
+  // -psi: the same distribution, different amplitude bits.
+  const Statevector neg = amplitude_embedding(neg_x, 3);
+  // The executor reads only the circuit's slots, so a trailing extra slot
+  // changes the slot values but not the circuit.
+  std::vector<double> extra0 = params, extra1 = params;
+  extra0.push_back(0.0);
+  extra1.push_back(1.0);
 
-  ShotSamplingBackend a(options);
-  const auto first = a.expectations_z(exec, params);
-  const auto second = a.expectations_z(exec, params);
-  bool fresh_noise = false;
-  for (std::size_t q = 0; q < first.size(); ++q) {
-    fresh_noise = fresh_noise || first[q] != second[q];
-  }
-  EXPECT_TRUE(fresh_noise) << "repeated calls must see fresh randomness";
+  const auto z = [&exec](const SimulationBackend& backend,
+                         const std::vector<double>& p, const Statevector& s) {
+    return backend.expectations_z_batch(exec, {p}, {s})[0];
+  };
+  const StatevectorBackend exact;
+  ASSERT_EQ(z(exact, params, a), z(exact, params, neg));
+  ASSERT_EQ(z(exact, extra0, a), z(exact, extra1, a));
 
-  // A same-seeded backend replays the identical call sequence.
-  ShotSamplingBackend b(options);
-  const auto first_b = b.expectations_z(exec, params);
-  const auto second_b = b.expectations_z(exec, params);
-  for (std::size_t q = 0; q < first.size(); ++q) {
-    EXPECT_EQ(first[q], first_b[q]) << q;
-    EXPECT_EQ(second[q], second_b[q]) << q;
+  for (const auto& options :
+       {trajectory_options(0.05, 200, 9), shot_options(500, 9)}) {
+    const auto backend = SimulationBackend::create(options);
+    SCOPED_TRACE(backend->name());
+    const auto single = z(*backend, params, a);
+    EXPECT_EQ(z(*backend, params, a), single) << "a repeat";
+    const auto batch = backend->expectations_z_batch(
+        exec, {other_params, params, params}, {other, a, a});
+    EXPECT_EQ(batch[1], single) << "batch position";
+    EXPECT_EQ(batch[2], single) << "companions";
+
+    EXPECT_GT(max_abs_diff(z(*backend, extra0, a), z(*backend, extra1, a)),
+              1e-6)
+        << "different slots share noise";
+    EXPECT_GT(max_abs_diff(z(*backend, params, neg), single), 1e-6)
+        << "different initial states share noise";
   }
 }
 
@@ -373,6 +411,43 @@ TEST(BackendIntegration, QuantumLayerHonoursSimulationOptions) {
   const Matrix restored = shot_layer.forward_values(input);
   for (std::size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(restored[i], exact[i], 1e-12) << i;
+  }
+}
+
+// What makes coalesced serving of noisy models sound: under both
+// stochastic backends, each row of a batched SQ-VAE encode/decode equals
+// the same row computed alone, bit for bit.
+TEST(BackendIntegration, BatchedRowsMatchSingleRowsUnderNoise) {
+  using namespace models;
+  for (const auto& sim :
+       {trajectory_options(0.05, 16, 23), shot_options(64, 23)}) {
+    SCOPED_TRACE(static_cast<int>(sim.backend));
+    ScalableQuantumConfig config;
+    config.input_dim = 16;
+    config.patches = 2;
+    config.entangling_layers = 2;
+    config.sim = sim;
+    sqvae::Rng rng(24);
+    auto model = make_sq_vae(config, rng);
+
+    Matrix x(4, config.input_dim);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(0, 1);
+    Matrix z(4, model->latent_dim());
+    for (std::size_t i = 0; i < z.size(); ++i) z[i] = rng.normal();
+
+    const Matrix encoded = model->encode_values(x);
+    const Matrix decoded = model->decode_values(z);
+    for (std::size_t r = 0; r < 4; ++r) {
+      Matrix x_row(1, x.cols()), z_row(1, z.cols());
+      for (std::size_t c = 0; c < x.cols(); ++c) x_row(0, c) = x(r, c);
+      for (std::size_t c = 0; c < z.cols(); ++c) z_row(0, c) = z(r, c);
+      EXPECT_EQ(model->encode_values(x_row).row(0), encoded.row(r)) << r;
+      EXPECT_EQ(model->decode_values(z_row).row(0), decoded.row(r)) << r;
+    }
+
+    // Not vacuous: the noise moves the rows off their exact values.
+    model->set_simulation_options(SimulationOptions{});
+    EXPECT_NE(model->encode_values(x).row(0), encoded.row(0));
   }
 }
 

@@ -133,7 +133,6 @@ TEST(LoadedModel, ReplicaReproducesSnapshotParameters) {
   ASSERT_NE(loaded, nullptr) << error;
   EXPECT_EQ(loaded->input_dim(), spec.input_dim);
   EXPECT_FALSE(loaded->is_generative());
-  EXPECT_FALSE(loaded->stochastic());
 
   auto replica = loaded->make_replica();
   ASSERT_NE(replica, nullptr);

@@ -58,6 +58,13 @@ compiler nor TSan can catch:
                    forces serial training, breaks resume and blocks
                    coalesced serving. A run-time setting that cannot
                    change a result bit carries a lint-allow.
+  orphan-module    a src/**/*.h that no file under src/, cli/, bench/,
+                   examples/ or perfbench/ includes, other than its own
+                   .cpp. Tests do not count: code that only its tests call
+                   is dead weight, and a parser nothing runs still needs
+                   fuzzing. Delete the module. This rule looks at the whole
+                   tree, so it runs whenever src/ is linted, whatever the
+                   other paths are.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
 line or the line directly above suppresses that rule for that line. The
@@ -75,8 +82,10 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import posixpath
 import re
 import sys
+import tempfile
 
 # src/common/mutex.h is the single sanctioned point of contact with the
 # std primitives (the thing naked-mutex exists to protect).
@@ -94,6 +103,10 @@ NUMBER_TEXT_EXEMPT = ("src/common/number_text.h",
 
 # Result-bearing simulation code, where stateful-stream applies.
 STATEFUL_STREAM_DIRS = ("src/qsim/", "src/models/")
+
+# Trees whose includes keep a src/ header alive for orphan-module (tests/
+# is deliberately absent).
+ORPHAN_INCLUDERS = ("src", "cli", "bench", "examples", "perfbench")
 
 ALLOW_RE = re.compile(r"//\s*lint-allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -131,6 +144,8 @@ ATOMIC_RE = re.compile(r"\bstd::atomic\w*")
 NUMBER_TEXT_RE = re.compile(
     r"\b(?:strto(?:d|f|ld|l|ul|ll|ull)|sto(?:d|f|ld|i|l|ll|ul|ull)|"
     r"ato(?:f|i|l|ll)|max_digits10)\b")
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
 
@@ -305,6 +320,30 @@ def check_file(rel_path: str, text: str, unordered_names: set[str]):
                            "annotate why order cannot matter")
 
 
+def orphan_headers(root: pathlib.Path) -> list[str]:
+    """src/ headers (relative paths) that no file under ORPHAN_INCLUDERS
+    includes, other than the header's own .cpp. A quoted include resolves
+    against src/ (the library's include root) or the including file's
+    directory."""
+    headers = {p.relative_to(root).as_posix()
+               for p in (root / "src").rglob("*.h")}
+    included: set[str] = set()
+    for top in ORPHAN_INCLUDERS:
+        if not (root / top).is_dir():
+            continue
+        for f in (root / top).rglob("*"):
+            if f.suffix not in (".h", ".cpp"):
+                continue
+            rel = f.relative_to(root).as_posix()
+            text = f.read_text(encoding="utf-8", errors="replace")
+            for m in INCLUDE_RE.finditer(text):
+                for target in ("src/" + m.group(1), posixpath.normpath(
+                        posixpath.join(posixpath.dirname(rel), m.group(1)))):
+                    if target in headers and rel != target[:-2] + ".cpp":
+                        included.add(target)
+    return sorted(headers - included)
+
+
 def gather_files(root: pathlib.Path, paths: list[str]) -> list[pathlib.Path]:
     files: list[pathlib.Path] = []
     for p in paths:
@@ -349,6 +388,17 @@ def run_lint(root: pathlib.Path, paths: list[str]) -> int:
                                                 unordered_names):
             print(f"{rel}:{lineno}: [{rule}] {message}")
             findings += 1
+    linted = {f.relative_to(root).as_posix() for f in files}
+    for header in orphan_headers(root):
+        if header not in linted:
+            continue
+        lines = (root / header).read_text(encoding="utf-8",
+                                          errors="replace").splitlines()
+        if "orphan-module" in allowed_rules(lines, 1):
+            continue
+        print(f"{header}:1: [orphan-module] nothing outside tests/ includes "
+              "this header; delete the module")
+        findings += 1
     if findings:
         print(f"determinism_lint: {findings} finding(s). Fix them or add "
               "'// lint-allow(<rule>): reason' where the construct is "
@@ -444,7 +494,7 @@ SELF_TEST_CASES = [
      "os << std::setprecision(std::numeric_limits<double>::max_digits10);",
      set(), {"number-text"}),
     ("number_text_allowed",
-     "// lint-allow(number-text): QASM literals need a decimal point\n"
+     "// lint-allow(number-text): fixed-width report column\n"
      "os << std::setprecision(std::numeric_limits<double>::max_digits10);",
      set(), set()),
     ("codec_ok", "number_text::append(&out, v);", set(), set()),
@@ -482,6 +532,24 @@ PATH_CASES = [
 ]
 
 
+# (name, {path: source}, expected orphan headers), each laid out as a
+# temporary tree.
+ORPHAN_CASES = [
+    ("orphan_header",
+     {"src/lib/orphan.h": "int f();",
+      "src/lib/orphan.cpp": '#include "lib/orphan.h"\nint f() { return 1; }'},
+     ["src/lib/orphan.h"]),
+    ("test_only_header",
+     {"src/lib/tested.h": "int g();",
+      "tests/lib_test.cpp": '#include "lib/tested.h"'},
+     ["src/lib/tested.h"]),
+    ("cli_includes_header",
+     {"src/lib/used.h": "int h();",
+      "cli/tool.cpp": '#include "lib/used.h"\nint main() { return h(); }'},
+     []),
+]
+
+
 def self_test() -> int:
     failures = 0
     for name, source, names, expected in SELF_TEST_CASES:
@@ -502,12 +570,24 @@ def self_test() -> int:
             print(f"self-test FAIL {name}: expected {sorted(expected)}, "
                   f"got {sorted(got)}", file=sys.stderr)
             failures += 1
+    # Whole-tree rule: each case is a temporary tree.
+    for name, tree, expected in ORPHAN_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            for rel, source in tree.items():
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(source + "\n", encoding="utf-8")
+            got = orphan_headers(root)
+        if got != expected:
+            print(f"self-test FAIL {name}: expected {expected}, got {got}",
+                  file=sys.stderr)
+            failures += 1
     if failures:
         print(f"determinism_lint self-test: {failures} failure(s)",
               file=sys.stderr)
         return 2
-    print(f"determinism_lint self-test: "
-          f"{len(SELF_TEST_CASES) + len(PATH_CASES)} cases ok")
+    cases = len(SELF_TEST_CASES) + len(PATH_CASES) + len(ORPHAN_CASES)
+    print(f"determinism_lint self-test: {cases} cases ok")
     return 0
 
 

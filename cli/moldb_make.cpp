@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,16 +35,6 @@
 namespace {
 
 using namespace sqvae;
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 struct IngestStats {
   std::size_t read = 0;       // lines / generated molecules seen
@@ -131,7 +120,7 @@ int main(int argc, char** argv) {
 
   const std::string out = flags.get_string("out");
   const std::string gen = flags.get_string("gen");
-  const auto inputs = split_list(flags.get_string("input"));
+  const auto inputs = flags.get_list("input");
   if (out.empty() || (gen.empty() == inputs.empty())) {
     std::fprintf(stderr,
                  "moldb_make: need --out and exactly one of --input / "

@@ -12,26 +12,11 @@
 // Example:
 //   moldb_merge --out=corpus.moldb --inputs=a.moldb,b.moldb,c.moldb
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/flags.h"
 #include "data/shard_store.h"
-
-namespace {
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sqvae::Flags flags;
@@ -44,7 +29,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string out = flags.get_string("out");
-  const auto inputs = split_list(flags.get_string("inputs"));
+  const auto inputs = flags.get_list("inputs");
   if (out.empty() || inputs.empty()) {
     std::fprintf(stderr, "moldb_merge: need --out and --inputs\n");
     return 2;

@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,16 +50,6 @@ struct Scenario {
   data::Dataset dataset;
   std::size_t input_dim = 0;
 };
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 /// L1-normalises each streamed row on the fly (the fully quantum
 /// baselines' input convention), mirroring data::l1_normalize_rows.
@@ -254,9 +243,8 @@ int main(int argc, char** argv) {
   Matrix test_matrix;
   std::size_t input_dim = 0;
   std::string data_name;
-  const std::string shards_csv = flags.get_string("shards");
-  if (!shards_csv.empty()) {
-    const auto paths = split_list(shards_csv);
+  if (!flags.get_string("shards").empty()) {
+    const auto paths = flags.get_list("shards");
     try {
       shard_dataset = std::make_unique<data::ShardDataset>(
           paths, static_cast<std::size_t>(flags.get_int("matrix_dim")));

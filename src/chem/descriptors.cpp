@@ -92,25 +92,8 @@ Descriptors compute_descriptors(const Molecule& mol) {
   return d;
 }
 
-int hydrogen_bond_acceptors(const Molecule& mol) {
-  return compute_descriptors(mol).hba;
-}
-
-int hydrogen_bond_donors(const Molecule& mol) {
-  return compute_descriptors(mol).hbd;
-}
-
 double topological_polar_surface_area(const Molecule& mol) {
   return compute_descriptors(mol).tpsa;
-}
-
-int rotatable_bond_count(const Molecule& mol) {
-  return compute_descriptors(mol).rotatable_bonds;
-}
-
-int aromatic_ring_count(const Molecule& mol) {
-  const RingInfo rings = perceive_rings(mol);
-  return static_cast<int>(aromatic_rings(mol, rings).size());
 }
 
 int structural_alert_count(const Molecule& mol) {

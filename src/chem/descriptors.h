@@ -45,12 +45,9 @@ struct Descriptors {
 /// Computes all descriptors in one pass.
 Descriptors compute_descriptors(const Molecule& mol);
 
-// Individual descriptor entry points (used by tests and examples).
-int hydrogen_bond_acceptors(const Molecule& mol);
-int hydrogen_bond_donors(const Molecule& mol);
+// Single-descriptor entry points. compute_descriptors counts alerts with
+// structural_alert_count; the chem tests pin both.
 double topological_polar_surface_area(const Molecule& mol);
-int rotatable_bond_count(const Molecule& mol);
-int aromatic_ring_count(const Molecule& mol);
 int structural_alert_count(const Molecule& mol);
 
 }  // namespace sqvae::chem

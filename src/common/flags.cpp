@@ -128,6 +128,16 @@ bool Flags::get_bool(const std::string& name) const {
   return v == "true" || v == "1";
 }
 
+std::vector<std::string> Flags::get_list(const std::string& name) const {
+  std::vector<std::string> items;
+  std::stringstream ss(get_string(name));
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
+}
+
 std::string Flags::usage(const std::string& program) const {
   std::ostringstream os;
   os << "usage: " << program << " [flags]\n";

@@ -38,6 +38,9 @@ class Flags {
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
+  /// A string flag's comma-separated items, empty items dropped:
+  /// "a,,b," gives {"a", "b"} and "" gives none.
+  std::vector<std::string> get_list(const std::string& name) const;
 
   /// Usage text built from registered flags.
   std::string usage(const std::string& program) const;

@@ -130,17 +130,6 @@ std::string Matrix::to_string(int precision) const {
   return os.str();
 }
 
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {
-  assert(a.cols() == x.size());
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double s = 0.0;
-    for (std::size_t c = 0; c < a.cols(); ++c) s += a(r, c) * x[c];
-    y[r] = s;
-  }
-  return y;
-}
-
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
   double s = 0.0;

@@ -88,9 +88,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// y = A x for a flat vector x with x.size() == A.cols().
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x);
-
 /// Dot product; sizes must match.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
 

@@ -1,7 +1,7 @@
 // The one number codec: the only place where a double (or an integer read
 // from text) crosses between binary and text. The serve wire protocol,
-// checkpoints v1/v2 (parameters, Adam state, Rng state), CSV datasets,
-// circuit text and command-line flags all go through it.
+// checkpoints v1/v2 (parameters, Adam state, Rng state), command-line
+// flags and environment settings all go through it.
 //
 // Writing uses std::to_chars' shortest round-trip form: the fewest digits
 // that read back to exactly the same double ("0.1", not max_digits10's
@@ -15,8 +15,8 @@
 //
 // Non-finite values are rejected unless the caller passes
 // NonFinite::kAllow. Checkpoints allow them, so a diverged run stays
-// inspectable (serve::LoadedModel still refuses to serve one); the wire,
-// CSV, flags and circuit text do not.
+// inspectable (serve::LoadedModel still refuses to serve one); the wire
+// and flags do not.
 #pragma once
 
 #include <charconv>

@@ -16,8 +16,9 @@
 //   * training: a team of TrainConfig::num_threads (default: the whole
 //     budget) over the samples of a batch, each member at budget / team,
 //     under every simulation backend;
-//   * one large statevector: the batch loop runs a team of 1 and its
-//     member hands the whole budget to the amplitude-parallel kernels.
+//   * one large statevector: the batch loop runs inline on the caller (a
+//     team of 1 opens no region) and hands the whole budget to the
+//     amplitude-parallel kernels.
 //
 // A thread nobody gave a budget (the main thread, or a thread started
 // without a Scope) runs at process_threads().
@@ -35,6 +36,8 @@
 // std::thread::hardware_concurrency outside this module, and any
 // `#pragma omp parallel` without a num_threads clause.
 #pragma once
+
+#include <cstdint>
 
 namespace sqvae::thread_budget {
 
@@ -80,6 +83,35 @@ struct Split {
 /// honoured (its members run at 1). Always team >= 1, member >= 1 and
 /// team * member <= max(budget, want).
 Split split(int budget, int want);
+
+/// Runs items [0, n) of a loop over `split`'s team. Each member sets its
+/// budget to split.member, calls make_body() once for its own loop body —
+/// the place for per-member scratch — and runs body(i) over a static share
+/// of the items.
+///
+/// A team of one runs the loop inline on the caller and opens no OpenMP
+/// region, so the parallel regions its member opens are top-level teams,
+/// which libgomp keeps pooled, instead of nested teams it starts afresh on
+/// every call. An `if(team > 1)` clause would not do: an inactive region
+/// still counts in omp_get_level().
+template <typename MakeBody>
+void parallel_for(const Split& split, std::int64_t n, MakeBody make_body) {
+#ifdef _OPENMP
+  if (split.team > 1) {
+#pragma omp parallel num_threads(split.team)
+    {
+      const Scope member(split.member);
+      auto body = make_body();
+#pragma omp for schedule(static)
+      for (std::int64_t i = 0; i < n; ++i) body(i);
+    }
+    return;
+  }
+#endif
+  const Scope member(split.member);
+  auto body = make_body();
+  for (std::int64_t i = 0; i < n; ++i) body(i);
+}
 
 /// Budget of one of `shards` processes sharing `process` threads:
 /// `explicit_threads` when > 0, else process / shards (at least 1).

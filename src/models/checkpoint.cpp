@@ -196,11 +196,6 @@ bool read_file(const std::string& path, std::string* text) {
   return true;
 }
 
-bool load_params_checkpoint(const std::string& path, Autoencoder& model) {
-  std::string text;
-  return read_file(path, &text) && load_params_only(text, model);
-}
-
 bool write_file_atomic(const std::string& path, const std::string& text) {
   const std::string tmp = path + ".tmp";
   {

@@ -103,9 +103,6 @@ bool write_file_atomic(const std::string& path, const std::string& text);
 /// keep the strict trailing-garbage check (they end at the parameters).
 bool load_params_only(const std::string& text, Autoencoder& model);
 
-/// File convenience wrapper for load_params_only.
-bool load_params_checkpoint(const std::string& path, Autoencoder& model);
-
 /// File convenience wrappers (v1).
 bool save_checkpoint(Autoencoder& model, const std::string& path);
 bool load_checkpoint(const std::string& path, Autoencoder& model);

@@ -211,27 +211,27 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
         // ---- sharded engine: one tape + private gradients per sample ----
         ShardedEpochState shared(batch_size, params.size());
         const std::int64_t n = static_cast<std::int64_t>(batch_size);
-#pragma omp parallel for schedule(static) num_threads(split.team)
-        for (std::int64_t s = 0; s < n; ++s) {
-          const thread_budget::Scope member(split.member);
-          const std::size_t row = indices[static_cast<std::size_t>(s)];
-          Matrix sample(1, train.cols());
-          train.copy_row(row, sample.data());
-          // Stateless per-sample stream: the noise a sample sees depends
-          // only on (noise_seed, epoch, row), never on which thread runs
-          // it or in what order.
-          sqvae::Rng sample_rng = sqvae::Rng::stream(
-              config_.noise_seed, static_cast<std::uint64_t>(epoch),
-              static_cast<std::uint64_t>(row));
-          ad::Tape tape;
-          IndexedGradSink sink(param_index,
-                               shared.grads(static_cast<std::size_t>(s)));
-          tape.set_grad_sink(&sink);
-          ad::Var loss =
-              model_.build_loss(tape, sample, sample_rng,
-                                shared.stats(static_cast<std::size_t>(s)));
-          tape.backward(loss);
-        }
+        thread_budget::parallel_for(split, n, [&] {
+          return [&](std::int64_t s) {
+            const std::size_t row = indices[static_cast<std::size_t>(s)];
+            Matrix sample(1, train.cols());
+            train.copy_row(row, sample.data());
+            // Stateless per-sample stream: the noise a sample sees depends
+            // only on (noise_seed, epoch, row), never on which thread runs
+            // it or in what order.
+            sqvae::Rng sample_rng = sqvae::Rng::stream(
+                config_.noise_seed, static_cast<std::uint64_t>(epoch),
+                static_cast<std::uint64_t>(row));
+            ad::Tape tape;
+            IndexedGradSink sink(param_index,
+                                 shared.grads(static_cast<std::size_t>(s)));
+            tape.set_grad_sink(&sink);
+            ad::Var loss =
+                model_.build_loss(tape, sample, sample_rng,
+                                  shared.stats(static_cast<std::size_t>(s)));
+            tape.backward(loss);
+          };
+        });
 
         // Fixed-order reduction (sample 0, 1, ..., B-1), then one scale by
         // 1/B: bit-identical for every thread count, and equal to the

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "qsim/kernels.h"
-#include "qsim/observable.h"
 
 namespace sqvae::qsim {
 
@@ -91,15 +90,6 @@ double apply_diag_observable(const std::vector<double>& diag,
   return kernels::active().apply_diag_observable(
       diag.data(), psi.amplitudes().data(), lambda.amplitudes().data(),
       psi.dim());
-}
-
-AdjointResult adjoint_gradient_z_vjp(const Circuit& circuit,
-                                     const std::vector<double>& params,
-                                     const Statevector& initial,
-                                     const std::vector<double>& cotangent) {
-  return adjoint_gradient(
-      circuit, params, initial,
-      weighted_z_diagonal(circuit.num_qubits(), cotangent));
 }
 
 std::vector<double> real_initial_gradient(const AdjointResult& result) {

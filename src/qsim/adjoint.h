@@ -54,13 +54,6 @@ AdjointResult adjoint_gradient(const Circuit& circuit,
                                const Statevector& initial,
                                const std::vector<double>& diag);
 
-/// Convenience: gradient of dot(cotangent, expectations_z) — the
-/// vector-Jacobian product of a per-qubit <Z> measurement layer.
-AdjointResult adjoint_gradient_z_vjp(const Circuit& circuit,
-                                     const std::vector<double>& params,
-                                     const Statevector& initial,
-                                     const std::vector<double>& cotangent);
-
 /// Real-input gradient helper: 2*Re(initial_lambda), the gradient of E with
 /// respect to real initial amplitudes.
 std::vector<double> real_initial_gradient(const AdjointResult& result);

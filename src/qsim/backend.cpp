@@ -94,7 +94,7 @@ std::vector<double> measure_row(const Statevector& state, bool probabilities) {
 // ---- trajectory machinery -------------------------------------------------
 
 /// Flat list of noise-insertion points: after op i, first its target, then
-/// (for two-qubit gates) its control — the same order as run_noisy().
+/// (for two-qubit gates) its control — the same order as run_density().
 struct NoiseLocations {
   std::vector<int> op_index;
   std::vector<int> qubit;
@@ -309,28 +309,24 @@ void run_trajectory_chunk(const TrajectorySample& sample,
   const std::int64_t n = static_cast<std::int64_t>(count);
   // Large statevectors hand the budget to the amplitude-parallel kernels
   // instead of the per-trajectory loop (as CircuitExecutor::run_batch).
-  const thread_budget::Split split =
-      kernels::loop_split(sample.noiseless_final().dim());
-#pragma omp parallel num_threads(split.team)
-  {
-    const thread_budget::Scope member(split.member);
-    LazyFuser fuser(sample.noiseless_final().num_qubits());
-    Statevector scratch(sample.noiseless_final().num_qubits());
-#pragma omp for schedule(static)
-    for (std::int64_t t = 0; t < n; ++t) {
-      sqvae::Rng rng(derive_seed(
-          options.seed, key, 0,
-          static_cast<std::uint64_t>(first) + static_cast<std::uint64_t>(t)));
-      const Statevector* final_state =
-          sample.run(options.noise.gate_error, rng, fuser, scratch);
-      double* row = rows.data() + static_cast<std::size_t>(t) * row_size;
-      if (final_state == nullptr) {
-        for (std::size_t i = 0; i < row_size; ++i) row[i] = noiseless[i];
-      } else {
-        measure_into(*final_state, probabilities, row);
-      }
-    }
-  }
+  const int qubits = sample.noiseless_final().num_qubits();
+  thread_budget::parallel_for(
+      kernels::loop_split(sample.noiseless_final().dim()), n, [&] {
+        return [&, fuser = LazyFuser(qubits),
+                scratch = Statevector(qubits)](std::int64_t t) mutable {
+          sqvae::Rng rng(derive_seed(options.seed, key, 0,
+                                     static_cast<std::uint64_t>(first) +
+                                         static_cast<std::uint64_t>(t)));
+          const Statevector* final_state =
+              sample.run(options.noise.gate_error, rng, fuser, scratch);
+          double* row = rows.data() + static_cast<std::size_t>(t) * row_size;
+          if (final_state == nullptr) {
+            for (std::size_t i = 0; i < row_size; ++i) row[i] = noiseless[i];
+          } else {
+            measure_into(*final_state, probabilities, row);
+          }
+        };
+      });
 }
 
 /// Mean (and optionally sum of squares, for standard errors) over all
@@ -553,12 +549,8 @@ std::vector<std::vector<double>> shot_measurements(
   const std::int64_t batch = static_cast<std::int64_t>(states.size());
   // Per-sample parallelism for small states; large states run the sample
   // loop on one thread so the O(dim) CDF build inside gets the budget.
-  const thread_budget::Split split = kernels::loop_split(dim);
-#pragma omp parallel num_threads(split.team)
-  {
-    const thread_budget::Scope member(split.member);
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i) {
+  thread_budget::parallel_for(kernels::loop_split(dim), batch, [&] {
+    return [&](std::int64_t i) {
       const std::size_t s = static_cast<std::size_t>(i);
       // One private stream per sample: shots are drawn serially within the
       // sample, so results do not depend on how samples map to threads.
@@ -578,8 +570,8 @@ std::vector<std::vector<double>> shot_measurements(
         }
       }
       for (double& v : row) v /= static_cast<double>(options.shots);
-    }
-  }
+    };
+  });
   return out;
 }
 

@@ -2,12 +2,11 @@
 //
 // The paper's experiments run hybrid quantum layers under three regimes —
 // ideal statevector simulation, gate-noise simulation, and finite-shot
-// measurement — and before this layer each regime had its own code path
-// (executor batch loop, per-sample `run_noisy` interpreter, ad-hoc sampling
-// helpers). A SimulationBackend turns the regime into *data*: every backend
-// consumes the same compiled `CircuitExecutor` plan and produces the same
-// batched measurement estimates, so models, the trainer, and the benches
-// switch regimes by changing one `SimulationOptions` value.
+// measurement — and each regime has exactly one implementation here. A
+// SimulationBackend turns the regime into *data*: every backend consumes
+// the same compiled `CircuitExecutor` plan and produces the same batched
+// measurement estimates, so models, the trainer, and the benches switch
+// regimes by changing one `SimulationOptions` value.
 //
 // Backends:
 //   * kStatevector — exact expectations/probabilities from the gate-fused

@@ -1,9 +1,7 @@
 #include "qsim/circuit.h"
 
+#include <algorithm>
 #include <cassert>
-#include <sstream>
-
-#include "common/number_text.h"
 
 namespace sqvae::qsim {
 
@@ -105,26 +103,6 @@ int Circuit::angle_embedding(int first_slot) {
 
 int Circuit::entangling_layer_param_count(int num_qubits, int layers) {
   return 3 * num_qubits * layers;
-}
-
-std::string Circuit::to_string() const {
-  std::ostringstream os;
-  for (const auto& op : ops_) {
-    os << gate_name(op.kind);
-    if (op.control >= 0) os << " c=" << op.control;
-    os << " t=" << op.target;
-    if (is_parameterized(op.kind)) {
-      if (op.param.is_slot()) {
-        os << " theta=p[" << op.param.index << "]";
-      } else {
-        // Shortest round-trip form: circuit_from_text restores the exact
-        // angle.
-        os << " theta=" << number_text::to_text(op.param.constant);
-      }
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 double resolve_param(const GateOp& op, const std::vector<double>& params) {

@@ -10,7 +10,6 @@
 // how hybrid models obtain d(loss)/d(latent) through the quantum decoder.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "qsim/gates.h"
@@ -85,9 +84,6 @@ class Circuit {
 
   /// Number of parameters used by `layers` entangling layers on this width.
   static int entangling_layer_param_count(int num_qubits, int layers);
-
-  /// One-line-per-gate textual dump (for debugging and golden tests).
-  std::string to_string() const;
 
  private:
   Circuit& push(GateKind kind, int target, int control, Param p);

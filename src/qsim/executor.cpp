@@ -440,21 +440,17 @@ void CircuitExecutor::run_batch(
     std::vector<Statevector>& states) const {
   assert(params_batch.size() == states.size());
   const std::int64_t batch = static_cast<std::int64_t>(states.size());
-  const thread_budget::Split split =
-      kernels::loop_split(std::size_t{1} << num_qubits_);
-#pragma omp parallel num_threads(split.team)
-  {
-    const thread_budget::Scope member(split.member);
-    // One bind buffer per thread, reused across its samples.
-    BoundPlan bound;
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      assert(static_cast<int>(params_batch[k].size()) >= num_param_slots_);
-      bind(params_batch[k], bound);
-      execute(bound, states[k]);
-    }
-  }
+  thread_budget::parallel_for(
+      kernels::loop_split(std::size_t{1} << num_qubits_), batch, [&] {
+        // One bind buffer per member, reused across its samples.
+        return [&, bound = BoundPlan{}](std::int64_t i) mutable {
+          const std::size_t k = static_cast<std::size_t>(i);
+          assert(static_cast<int>(params_batch[k].size()) >=
+                 num_param_slots_);
+          bind(params_batch[k], bound);
+          execute(bound, states[k]);
+        };
+      });
 }
 
 void CircuitExecutor::accumulate_step_grads(
@@ -547,36 +543,32 @@ std::vector<AdjointResult> CircuitExecutor::adjoint_batch(
   assert(params_batch.size() == diags.size());
   const std::int64_t batch = static_cast<std::int64_t>(params_batch.size());
   std::vector<AdjointResult> results(static_cast<std::size_t>(batch));
-  const thread_budget::Split split =
-      kernels::loop_split(std::size_t{1} << num_qubits_);
-#pragma omp parallel num_threads(split.team)
-  {
-    const thread_budget::Scope member(split.member);
-    BoundPlan bound;
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      const std::vector<double>& params = params_batch[k];
-      const std::vector<double>& diag = diags[k];
-      assert(initials[k].num_qubits() == num_qubits_);
-      assert(diag.size() == initials[k].dim());
+  thread_budget::parallel_for(
+      kernels::loop_split(std::size_t{1} << num_qubits_), batch, [&] {
+        return [&, bound = BoundPlan{}](std::int64_t i) mutable {
+          const std::size_t k = static_cast<std::size_t>(i);
+          const std::vector<double>& params = params_batch[k];
+          const std::vector<double>& diag = diags[k];
+          assert(initials[k].num_qubits() == num_qubits_);
+          assert(diag.size() == initials[k].dim());
 
-      // Fused forward pass.
-      Statevector psi = initials[k];
-      bind(params, bound);
-      execute(bound, psi);
+          // Fused forward pass.
+          Statevector psi = initials[k];
+          bind(params, bound);
+          execute(bound, psi);
 
-      // Value and lambda = diag(O) psi.
-      AdjointResult& r = results[k];
-      Statevector lambda = psi;
-      r.value = apply_diag_observable(diag, psi, lambda);
+          // Value and lambda = diag(O) psi.
+          AdjointResult& r = results[k];
+          Statevector lambda = psi;
+          r.value = apply_diag_observable(diag, psi, lambda);
 
-      // Reverse walk over the same plan.
-      r.param_grads.assign(static_cast<std::size_t>(num_param_slots_), 0.0);
-      reverse_walk(bound, psi, lambda, r.param_grads);
-      r.initial_lambda = std::move(lambda.amplitudes());
-    }
-  }
+          // Reverse walk over the same plan.
+          r.param_grads.assign(static_cast<std::size_t>(num_param_slots_),
+                               0.0);
+          reverse_walk(bound, psi, lambda, r.param_grads);
+          r.initial_lambda = std::move(lambda.amplitudes());
+        };
+      });
   return results;
 }
 

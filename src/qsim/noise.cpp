@@ -1,8 +1,6 @@
 #include "qsim/noise.h"
 
-#include <cassert>
-
-#include "qsim/embedding.h"
+#include "qsim/gates.h"
 
 namespace sqvae::qsim {
 
@@ -11,46 +9,6 @@ const Mat2& random_pauli(sqvae::Rng& rng) {
                                  gate_matrix(GateKind::kY, 0.0),
                                  gate_matrix(GateKind::kZ, 0.0)};
   return kPauli[rng.uniform_int(0, 2)];
-}
-
-namespace {
-
-void maybe_pauli_error(Statevector& state, int qubit, double p,
-                       sqvae::Rng& rng) {
-  if (p <= 0.0 || !rng.bernoulli(p)) return;
-  state.apply_single(random_pauli(rng), qubit);
-}
-
-}  // namespace
-
-void run_noisy(const Circuit& circuit, const std::vector<double>& params,
-               Statevector& state, const NoiseModel& noise, sqvae::Rng& rng) {
-  assert(state.num_qubits() == circuit.num_qubits());
-  for (const GateOp& op : circuit.ops()) {
-    apply_op(state, op, params);
-    maybe_pauli_error(state, op.target, noise.gate_error, rng);
-    if (op.control >= 0) {
-      maybe_pauli_error(state, op.control, noise.gate_error, rng);
-    }
-  }
-}
-
-std::vector<double> noisy_expectations_z(const Circuit& circuit,
-                                         const std::vector<double>& params,
-                                         const NoiseModel& noise,
-                                         std::size_t trajectories,
-                                         sqvae::Rng& rng) {
-  assert(trajectories > 0);
-  std::vector<double> sums(static_cast<std::size_t>(circuit.num_qubits()),
-                           0.0);
-  for (std::size_t t = 0; t < trajectories; ++t) {
-    Statevector state(circuit.num_qubits());
-    run_noisy(circuit, params, state, noise, rng);
-    const std::vector<double> e = expectations_z(state);
-    for (std::size_t q = 0; q < sums.size(); ++q) sums[q] += e[q];
-  }
-  for (double& v : sums) v /= static_cast<double>(trajectories);
-  return sums;
 }
 
 }  // namespace sqvae::qsim

@@ -8,15 +8,14 @@
 // density-matrix result with O(1/sqrt(M)) error while keeping statevector
 // cost, the standard trade-off for simulating noise at this scale.
 //
-// The functions below are the simple per-gate reference interpreter. The
-// production path is TrajectoryBackend (qsim/backend.h), which computes the
-// same estimator through the executor's pre-bound plan with snapshot reuse
-// and geometric error-pattern sampling — orders of magnitude faster at the
-// same statistics; qsim_backend_test.cpp pins the two together.
+// This header defines the channel. TrajectoryBackend (qsim/backend.h)
+// samples it through the executor's pre-bound plan; run_density
+// (qsim/density_matrix.h) applies it exactly and is the oracle that
+// qsim_backend_test.cpp pins the backend to at 3 sigma.
 #pragma once
 
 #include "common/rng.h"
-#include "qsim/circuit.h"
+#include "qsim/types.h"
 
 namespace sqvae::qsim {
 
@@ -27,20 +26,8 @@ struct NoiseModel {
 };
 
 /// Uniformly random Pauli matrix (X, Y, or Z with probability 1/3 each) —
-/// the single draw that unravels the depolarizing channel. Shared by the
-/// reference interpreter below and the trajectory backend (qsim/backend.h)
-/// so both always sample the *same* channel definition.
+/// the single draw that unravels the depolarizing channel in each
+/// trajectory of TrajectoryBackend (qsim/backend.h).
 const Mat2& random_pauli(sqvae::Rng& rng);
-
-/// Runs the circuit with stochastic Pauli errors (one trajectory).
-void run_noisy(const Circuit& circuit, const std::vector<double>& params,
-               Statevector& state, const NoiseModel& noise, sqvae::Rng& rng);
-
-/// Averages <Z_q> over `trajectories` noisy runs from |0...0>.
-std::vector<double> noisy_expectations_z(const Circuit& circuit,
-                                         const std::vector<double>& params,
-                                         const NoiseModel& noise,
-                                         std::size_t trajectories,
-                                         sqvae::Rng& rng);
 
 }  // namespace sqvae::qsim

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <clocale>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -113,6 +114,29 @@ TEST(NumberText, NonFiniteValuesNeedTheOptIn) {
   ASSERT_EQ(parse(to_text(nan), &back, NonFinite::kAllow), Error::kNone);
   EXPECT_TRUE(std::isnan(back));
   EXPECT_EQ(std::signbit(back), std::signbit(nan));
+}
+
+TEST(NumberText, ParsingIsLocaleIndependent) {
+  // Under a comma-decimal locale, strtod would read "1.5" as 1 (the comma
+  // is the separator); std::from_chars must not. Without such a locale
+  // installed the test runs under the current one: the parse must be exact
+  // either way.
+  const char* previous = std::setlocale(LC_NUMERIC, nullptr);
+  const std::string saved = previous ? previous : "C";
+  if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr) {
+    std::setlocale(LC_NUMERIC, "fr_FR.UTF-8");
+  }
+  double a = 0.0;
+  double b = 0.0;
+  const Error ea = parse("1.5", &a);
+  const Error eb = parse("-2.25e1", &b);
+  const std::string written = to_text(-22.5);
+  std::setlocale(LC_NUMERIC, saved.c_str());
+  EXPECT_EQ(ea, Error::kNone);
+  EXPECT_EQ(eb, Error::kNone);
+  EXPECT_EQ(a, 1.5);
+  EXPECT_EQ(b, -22.5);
+  EXPECT_EQ(written, "-22.5");
 }
 
 struct RejectRow {

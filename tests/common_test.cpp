@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/matrix.h"
@@ -226,6 +228,26 @@ TEST(Flags, DoubleDefaultsKeepEveryDigit) {
   ASSERT_TRUE(flags.parse(1, argv));
   EXPECT_EQ(flags.get_double("third"), 1.0 / 3);
   EXPECT_NE(flags.usage("prog").find("0.3333333333333333"), std::string::npos);
+}
+
+TEST(Flags, ListsSplitOnCommasAndDropEmptyItems) {
+  struct Row {
+    const char* value;
+    std::vector<std::string> items;
+  };
+  const Row rows[] = {
+      {"", {}},
+      {"a", {"a"}},
+      {"a,,b,", {"a", "b"}},
+  };
+  for (const Row& row : rows) {
+    Flags flags;
+    flags.add_string("inputs", "", "a list");
+    const std::string arg = std::string("--inputs=") + row.value;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(flags.parse(2, argv)) << row.value;
+    EXPECT_EQ(flags.get_list("inputs"), row.items) << '"' << row.value << '"';
+  }
 }
 
 TEST(Flags, HelpReturnsFalse) {

@@ -6,6 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.h"
 #include "models/scalable_quantum.h"
@@ -13,6 +20,14 @@
 
 namespace sqvae::thread_budget {
 namespace {
+
+int omp_level() {
+#ifdef _OPENMP
+  return omp_get_level();
+#else
+  return 0;
+#endif
+}
 
 /// `process` threads shared by `shards` processes, each with an explicit
 /// `threads` budget (0 = its share) whose pool asks for a team of `want`
@@ -84,6 +99,36 @@ TEST(ThreadBudget, ScopesNestAndRestore) {
     EXPECT_EQ(current(), 6);
   }
   EXPECT_EQ(current(), process_threads());
+}
+
+// A team of one runs on the caller and opens no region, so what its
+// member opens is a top-level team; a larger team opens one region.
+TEST(ThreadBudget, ParallelForRunsATeamOfOneInline) {
+  struct Row {
+    Split split;
+    int level;
+  };
+  for (const Row& r : {Row{{1, 4}, 0}, Row{{2, 2}, kOpenMP ? 1 : 0}}) {
+    constexpr std::int64_t kItems = 8;
+    std::vector<int> levels(kItems, -1);
+    std::vector<int> budgets(kItems, -1);
+    std::atomic<int> bodies{0};
+    parallel_for(r.split, kItems, [&] {
+      ++bodies;
+      return [&](std::int64_t i) {
+        levels[static_cast<std::size_t>(i)] = omp_level();
+        budgets[static_cast<std::size_t>(i)] = current();
+      };
+    });
+    EXPECT_GE(bodies.load(), 1) << r.split.team;
+    EXPECT_LE(bodies.load(), r.split.team) << r.split.team;
+    for (std::int64_t i = 0; i < kItems; ++i) {
+      const std::size_t k = static_cast<std::size_t>(i);
+      EXPECT_EQ(levels[k], r.level) << r.split.team << " item " << i;
+      EXPECT_EQ(budgets[k], r.split.member) << r.split.team << " item " << i;
+    }
+    EXPECT_EQ(current(), process_threads()) << "budget restored";
+  }
 }
 
 TEST(ThreadBudget, TrainerTeamTakesTheCallersBudget) {

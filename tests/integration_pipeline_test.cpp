@@ -8,7 +8,6 @@
 #include "chem/qed.h"
 #include "chem/sanitize.h"
 #include "common/rng.h"
-#include "data/io.h"
 #include "data/molecule_dataset.h"
 #include "models/checkpoint.h"
 #include "models/generation.h"
@@ -161,22 +160,6 @@ TEST(Integration, GradClipAndLrDecayTrainStably) {
   EXPECT_LT(history.back().train_mse, history.front().train_mse);
   for (const auto& e : history) {
     EXPECT_TRUE(std::isfinite(e.train_mse));
-  }
-}
-
-TEST(Integration, CsvExportImportTrainsIdentically) {
-  // Exporting a dataset to CSV and re-importing must not change training.
-  Rng rng(34);
-  const auto ds = data::make_qm9_like(24, 8, rng);
-  const data::Dataset original = ds.features();
-  const std::string path = "/tmp/sqvae_integration_data.csv";
-  ASSERT_TRUE(data::save_csv(original, path));
-  const auto reloaded = data::load_csv(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(reloaded.has_value());
-  ASSERT_EQ(reloaded->size(), original.size());
-  for (std::size_t i = 0; i < original.samples.size(); ++i) {
-    ASSERT_EQ(reloaded->samples[i], original.samples[i]);
   }
 }
 

@@ -161,28 +161,26 @@ TEST(TrajectoryBackend, ProbabilitiesMatchDensityDiagonalWithin3Sigma) {
   EXPECT_NEAR(total, 1.0, 1e-9);  // trajectories stay normalised
 }
 
-// The trajectory estimator must agree with the seed-era per-gate
-// interpreter (run_noisy) in distribution; both unravel the same channel.
-TEST(TrajectoryBackend, AgreesWithLegacyRunNoisy) {
-  sqvae::Rng rng(31);
-  const Circuit c = random_circuit(3, 2);
-  const auto params = random_params(c, rng);
-  const CircuitExecutor exec(c);
-  const double gate_error = 0.05;
-  const std::size_t m = 4000;
-
-  sqvae::Rng legacy_rng(77);
-  const auto legacy =
-      noisy_expectations_z(c, params, NoiseModel{gate_error}, m, legacy_rng);
-
-  TrajectoryBackend backend(trajectory_options(gate_error, m, 78));
-  const TrajectoryEstimate est = backend.expectations_z_with_stats(
-      exec, params);
-  for (std::size_t q = 0; q < legacy.size(); ++q) {
-    // Two independent Monte-Carlo means: combined sigma is at most
-    // sqrt(2) * max stderr; use the backend's measured one for both.
-    const double bound = 3.0 * std::sqrt(2.0) * est.std_error[q] + 1e-6;
-    EXPECT_NEAR(est.mean[q], legacy[q], bound) << q;
+// One qubit through k RZ(0) gates, each a noise location: a Pauli error
+// flips the sign of <Z> with probability 2/3, so E[<Z>] = (1 - 4p/3)^k
+// (single-qubit depolarizing algebra). The second row is the strong-noise
+// regime, where the estimate must reach full depolarization.
+TEST(TrajectoryBackend, MatchesAnalyticDepolarizingRate) {
+  const std::size_t kTrajectories = 20000;
+  struct Row {
+    double gate_error;
+    int gates;
+  };
+  for (const Row& r : {Row{0.08, 10}, Row{0.9, 30}}) {
+    Circuit c(1);
+    for (int i = 0; i < r.gates; ++i) c.rz(0, Param::value(0.0));
+    const CircuitExecutor exec(c);
+    TrajectoryBackend backend(
+        trajectory_options(r.gate_error, kTrajectories, 10));
+    const TrajectoryEstimate est = backend.expectations_z_with_stats(exec, {});
+    const double analytic = std::pow(1.0 - 4.0 * r.gate_error / 3.0, r.gates);
+    EXPECT_NEAR(est.mean[0], analytic, 3.0 * est.std_error[0] + 1e-6)
+        << "p=" << r.gate_error << " k=" << r.gates;
   }
 }
 
@@ -228,6 +226,20 @@ TEST(ShotBackend, ProbabilityHistogramIsNormalisedAndConverges) {
     total += est[i];
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+// A basis state leaves nothing to chance: X on qubit 1 of 3 prepares
+// |010>, so every shot lands on index 2.
+TEST(ShotBackend, BasisStateLandsEveryShotOnItsIndex) {
+  Circuit c(3);
+  c.x(1);
+  const CircuitExecutor exec(c);
+  ShotSamplingBackend backend(shot_options(500, 7));
+  EXPECT_EQ(backend.expectations_z(exec, {}),
+            (std::vector<double>{1.0, -1.0, 1.0}));
+  std::vector<double> one_hot(8, 0.0);
+  one_hot[2] = 1.0;
+  EXPECT_EQ(backend.probabilities(exec, {}), one_hot);
 }
 
 // ---- seed plumbing / determinism -----------------------------------------

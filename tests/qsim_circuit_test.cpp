@@ -118,15 +118,6 @@ TEST(Circuit, DaggerUndoesEveryGateKind) {
   }
 }
 
-TEST(Circuit, ToStringListsGatesAndSlots) {
-  Circuit c(2);
-  c.ry(0, Param::slot(3)).cnot(0, 1).rz(1, Param::value(0.5));
-  const std::string dump = c.to_string();
-  EXPECT_NE(dump.find("RY t=0 theta=p[3]"), std::string::npos);
-  EXPECT_NE(dump.find("CNOT c=0 t=1"), std::string::npos);
-  EXPECT_NE(dump.find("RZ t=1 theta=0.5"), std::string::npos);
-}
-
 TEST(Embedding, AmplitudeEmbeddingNormalizes) {
   const std::vector<double> x = {3.0, 4.0};
   Statevector s = amplitude_embedding(x, 2);

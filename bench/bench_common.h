@@ -5,7 +5,8 @@
 // so the whole suite finishes in minutes on a laptop); pass --scale=paper
 // for the paper's full protocol (2492 ligands, 20 epochs, 1000 samples).
 // The learning-dynamics *shape* — who wins, where the crossovers fall — is
-// the reproduction target at either scale; see EXPERIMENTS.md.
+// the reproduction target at either scale. Nothing checks the printed
+// figures against the paper's yet.
 #pragma once
 
 #include <cstdio>

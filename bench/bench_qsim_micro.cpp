@@ -1,8 +1,8 @@
 // Simulator micro-benchmarks (google-benchmark) and the gradient-method
-// ablation called out in DESIGN.md §4: adjoint differentiation vs
-// parameter shift vs finite differences, gate-kernel throughput vs qubit
-// count, and the patched-vs-holistic circuit cost that motivates the
-// scalable architecture.
+// ablation behind training with the adjoint method: adjoint
+// differentiation vs parameter shift vs finite differences, gate-kernel
+// throughput vs qubit count, and the patched-vs-holistic circuit cost that
+// motivates the scalable architecture.
 //
 // In addition to the google-benchmark registrations, the binary always runs
 // a CircuitExecutor A/B comparison — batched gate-fused execution vs the

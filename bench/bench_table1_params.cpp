@@ -5,7 +5,7 @@
 // Paper values: quantum 0/108/108; classical 5694(5610)/84(0)/4386(4202)
 // [sic: 4286/4202]; this bench prints the counts measured from the actual
 // modules so any residual architecture ambiguity in the paper is visible
-// rather than hidden (EXPERIMENTS.md discusses the deltas).
+// rather than hidden.
 #include "bench_common.h"
 #include "common/rng.h"
 #include "models/baseline_quantum.h"

@@ -65,6 +65,14 @@ compiler nor TSan can catch:
                    fuzzing. Delete the module. This rule looks at the whole
                    tree, so it runs whenever src/ is linted, whatever the
                    other paths are.
+  dangling-ref     a comment under src/, cli/, bench/ or examples/ that
+                   names a *.md file, or a repo-relative path under src/,
+                   tests/ or docs/, that does not exist (brace lists such
+                   as kernels.{h,cpp} expand). A pointer to a deleted or
+                   never-written file leaves the reader with no reason:
+                   point to an existing README or docs/ section, or state
+                   the reason inline. Names outside the repo (RDKit's
+                   qed.py, URLs) are not paths and stay clean.
 
 Escape hatch: a `// lint-allow(<rule>): reason` comment on the flagged
 line or the line directly above suppresses that rule for that line. The
@@ -107,6 +115,17 @@ STATEFUL_STREAM_DIRS = ("src/qsim/", "src/models/")
 # Trees whose includes keep a src/ header alive for orphan-module (tests/
 # is deliberately absent).
 ORPHAN_INCLUDERS = ("src", "cli", "bench", "examples", "perfbench")
+
+# Trees whose comments dangling-ref checks.
+DANGLING_REF_DIRS = ("src/", "cli/", "bench/", "examples/")
+
+# A repo path in a comment: a markdown file, or a path under src/, tests/
+# or docs/. It starts at a token boundary (so a URL's /docs/ is not one)
+# and ends on a word character or a closing brace (so a full stop is not
+# part of it).
+REF_RE = re.compile(r"(?<![\w./:-])((?:src|tests|docs)/[\w./{},-]*[\w}]|"
+                    r"[\w./-]*\w\.md\b)")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
 
 ALLOW_RE = re.compile(r"//\s*lint-allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -157,42 +176,49 @@ RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;()]*\([^()]*\))?([^;()]*)\)")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks out comments and string/char literals, preserving line
-    structure so line numbers survive. Good enough for a lint: raw
-    strings and trigraphs are not handled (none exist in this repo)."""
-    out = []
+def split_comments(text: str) -> tuple[str, str]:
+    """(code, comments): `text` with comments and string/char literals
+    blanked, and `text` with everything but comment bodies blanked. Both
+    preserve line structure so line numbers survive. Good enough for a
+    lint: raw strings and trigraphs are not handled (none exist in this
+    repo)."""
+    code, comments = [], []
+
+    def blank(chunk: str) -> str:
+        return "".join("\n" if ch == "\n" else " " for ch in chunk)
+
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c == "/" and i + 1 < n and text[i + 1] == "/":
             j = text.find("\n", i)
-            if j < 0:
-                break
-            i = j  # keep the newline
+            j = n if j < 0 else j  # keep the newline
+            comments.append(text[i:j])
+            i = j
         elif c == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
             j = n if j < 0 else j + 2
-            out.append("".join("\n" if ch == "\n" else " "
-                               for ch in text[i:j]))
+            code.append(blank(text[i:j]))
+            comments.append(text[i:j])
             i = j
         elif c in "\"'":
-            quote = c
-            out.append(" ")
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    out.append("  ")
-                    i += 2
-                else:
-                    out.append("\n" if text[i] == "\n" else " ")
-                    i += 1
-            out.append(" ")
-            i += 1
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            j = min(j + 1, n)
+            code.append(blank(text[i:j]))
+            comments.append(blank(text[i:j]))
+            i = j
         else:
-            out.append(c)
+            code.append(c)
+            comments.append(c if c == "\n" else " ")
             i += 1
-    return "".join(out)
+    return "".join(code), "".join(comments)
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """`text` with comments and string/char literals blanked."""
+    return split_comments(text)[0]
 
 
 def balanced_template_end(text: str, start: int) -> int:
@@ -344,6 +370,35 @@ def orphan_headers(root: pathlib.Path) -> list[str]:
     return sorted(headers - included)
 
 
+def expand_braces(ref: str) -> list[str]:
+    """kernels.{h,cpp} -> [kernels.h, kernels.cpp]."""
+    m = BRACE_RE.search(ref)
+    if not m:
+        return [ref]
+    return [expanded for part in m.group(1).split(",")
+            for expanded in expand_braces(ref[:m.start()] + part +
+                                          ref[m.end():])]
+
+
+def dangling_refs(root: pathlib.Path, rel_path: str, text: str):
+    """Yields (lineno, ref) for each path named in a comment of `text`
+    that does not exist under `root` (or, for a bare name, beside the
+    file). Only files under DANGLING_REF_DIRS are checked."""
+    if not rel_path.startswith(DANGLING_REF_DIRS):
+        return
+    raw_lines = text.splitlines()
+    here = posixpath.dirname(rel_path)
+    for lineno, line in enumerate(split_comments(text)[1].splitlines(),
+                                  start=1):
+        for m in REF_RE.finditer(line):
+            missing = [p for p in expand_braces(m.group(1))
+                       if not (root / p).exists() and
+                       not (root / here / p).exists()]
+            if missing and "dangling-ref" not in allowed_rules(raw_lines,
+                                                               lineno):
+                yield lineno, m.group(1)
+
+
 def gather_files(root: pathlib.Path, paths: list[str]) -> list[pathlib.Path]:
     files: list[pathlib.Path] = []
     for p in paths:
@@ -387,6 +442,11 @@ def run_lint(root: pathlib.Path, paths: list[str]) -> int:
         for rule, lineno, message in check_file(rel, texts[f],
                                                 unordered_names):
             print(f"{rel}:{lineno}: [{rule}] {message}")
+            findings += 1
+        for lineno, ref in dangling_refs(root, rel, texts[f]):
+            print(f"{rel}:{lineno}: [dangling-ref] {ref} does not exist; "
+                  "point to an existing README or docs/ section, or state "
+                  "the reason inline")
             findings += 1
     linted = {f.relative_to(root).as_posix() for f in files}
     for header in orphan_headers(root):
@@ -550,6 +610,32 @@ ORPHAN_CASES = [
 ]
 
 
+# (name, source of src/lib/a.cpp, expected dangling refs). Each case runs
+# in a temporary tree holding src/lib/a.cpp, src/lib/a.h, docs/GUIDE.md,
+# tests/a_test.cpp and src/lib/NOTES.md.
+DANGLING_REF_TREE = ("src/lib/a.h", "docs/GUIDE.md", "tests/a_test.cpp",
+                     "src/lib/NOTES.md")
+DANGLING_REF_CASES = [
+    ("existing_doc", "// see docs/GUIDE.md §2", []),
+    ("missing_md", "int x;  // see DESIGN.md §3", ["DESIGN.md"]),
+    ("missing_test", "// pinned by tests/trainer_parallel_test.cpp.",
+     ["tests/trainer_parallel_test.cpp"]),
+    ("full_stop_not_part", "// checks in tests/a_test.", ["tests/a_test"]),
+    ("existing_test", "// pinned by tests/a_test.cpp.", []),
+    ("brace_list_ok", "// src/lib/a.{h,cpp}", []),
+    ("brace_list_missing", "// src/lib/a.{h,cpp,inl}", ["src/lib/a.{h,cpp,inl}"]),
+    ("beside_file", "// see NOTES.md", []),
+    ("external_name", "// the table shipped in RDKit's qed.py", []),
+    ("url", "// https://clang.llvm.org/docs/ThreadSafetyAnalysis.html", []),
+    ("url_md", "// https://example.org/src/README.md", []),
+    ("string_not_comment", 'const char* p = "docs/missing.md";', []),
+    ("block_comment", "/* see docs/OLD.md */ int y;", ["docs/OLD.md"]),
+    ("allowed",
+     "// lint-allow(dangling-ref): generated at release\n// see CHANGELOG.md",
+     []),
+]
+
+
 def self_test() -> int:
     failures = 0
     for name, source, names, expected in SELF_TEST_CASES:
@@ -582,11 +668,30 @@ def self_test() -> int:
             print(f"self-test FAIL {name}: expected {expected}, got {got}",
                   file=sys.stderr)
             failures += 1
+    # Comment paths resolve against a temporary tree.
+    for name, source, expected in DANGLING_REF_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            for rel in DANGLING_REF_TREE + ("src/lib/a.cpp",):
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text("\n", encoding="utf-8")
+            got = [ref for _, ref in
+                   dangling_refs(root, "src/lib/a.cpp", source)]
+        if got != expected:
+            print(f"self-test FAIL {name}: expected {expected}, got {got}",
+                  file=sys.stderr)
+            failures += 1
+    got = list(dangling_refs(pathlib.Path("/nonexistent"), "tests/x.cpp",
+                             "// see DESIGN.md"))
+    if got:
+        print(f"self-test FAIL tests_not_checked: got {got}", file=sys.stderr)
+        failures += 1
     if failures:
         print(f"determinism_lint self-test: {failures} failure(s)",
               file=sys.stderr)
         return 2
-    cases = len(SELF_TEST_CASES) + len(PATH_CASES) + len(ORPHAN_CASES)
+    cases = (len(SELF_TEST_CASES) + len(PATH_CASES) + len(ORPHAN_CASES) +
+             len(DANGLING_REF_CASES) + 1)
     print(f"determinism_lint self-test: {cases} cases ok")
     return 0
 

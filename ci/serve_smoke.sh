@@ -3,9 +3,9 @@
 # digits scenario, checkpoints, pipes requests through the real
 # micro-batched sqvae_serve server (once from a file, once from a client
 # that writes 500 requests before reading, then the same 500 under
-# trajectory noise), and diffs the output
-# byte-for-byte against --reference mode — which answers the same requests through
-# in-process Autoencoder calls (serve::execute_single) with no queue, no
+# trajectory noise, then an SQ-VAE on all four endpoints), and diffs the
+# output byte-for-byte against --reference mode — which answers the same
+# requests through in-process Autoencoder calls (serve::execute_single) with no queue, no
 # workers, no batching. Identical bytes = the serving stack reproduced the
 # model's own output exactly, which is the subsystem's determinism
 # contract end to end (train -> checkpoint -> load_params_only -> serve).
@@ -111,4 +111,36 @@ if cmp -s "$WORK/noisy.out" "$WORK/piped.out"; then
 fi
 echo "noisy run: $(wc -l < "$WORK/noisy.out") responses, byte-identical" \
   "to the reference and different from the exact output"
+# An SQ-VAE: reconstruct draws reparameterisation noise from each request's
+# seed, and the coalesced pass must still match the per-request reference
+# on all four endpoints.
+echo "== serve smoke: sq-vae, all four endpoints =="
+"$BUILD/sqvae_train" --scenario=digits --model=sq-vae --epochs=1 \
+  --samples=96 --layers=2 --patches=2 --checkpoint="$WORK/vae.ckpt" \
+  --seed=12 > /dev/null
+python3 - "$WORK/vae.jsonl" <<'EOF'
+import math
+import sys
+
+ops = ["reconstruct", "encode", "latent_sample", "decode"]
+with open(sys.argv[1], "w") as f:
+    for i in range(200):
+        op = ops[i % len(ops)]
+        line = '{"op": "%s", "id": %d, "seed": %d' % (op, i, 2000 + i)
+        if op != "latent_sample":
+            n = 10 if op == "decode" else 64  # LSD(64, 2) = 10
+            x = [round(0.5 + 0.45 * math.sin(0.29 * j + 0.05 * i), 6)
+                 for j in range(n)]
+            line += ', "x": %s' % x
+        f.write(line + "}\n")
+EOF
+VAE_FLAGS="--checkpoint=$WORK/vae.ckpt --model=sq-vae --input_dim=64 \
+  --layers=2 --patches=2"
+"$BUILD/sqvae_serve" $VAE_FLAGS --max_batch=8 --threads=2 \
+  < "$WORK/vae.jsonl" > "$WORK/vae.out"
+"$BUILD/sqvae_serve" $VAE_FLAGS --reference \
+  < "$WORK/vae.jsonl" > "$WORK/vae.reference.out"
+diff -q "$WORK/vae.out" "$WORK/vae.reference.out"
+echo "sq-vae run: $(wc -l < "$WORK/vae.out") responses, byte-identical to" \
+  "the reference"
 echo "serve smoke passed: served output is byte-identical to the in-process reference"

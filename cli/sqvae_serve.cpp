@@ -64,6 +64,7 @@
 
 #include "common/flags.h"
 #include "common/thread_budget.h"
+#include "models/model_spec.h"
 #include "serve/event_loop.h"
 #include "serve/frontend.h"
 #include "serve/protocol.h"
@@ -81,32 +82,6 @@
 namespace {
 
 using namespace sqvae;
-
-serve::ModelSpec spec_from_flags(const Flags& flags) {
-  serve::ModelSpec spec;
-  spec.kind = flags.get_string("model");
-  spec.input_dim = static_cast<std::size_t>(flags.get_int("input_dim"));
-  spec.entangling_layers = static_cast<int>(flags.get_int("layers"));
-  spec.patches = static_cast<int>(flags.get_int("patches"));
-  spec.latent = static_cast<std::size_t>(flags.get_int("latent"));
-  const std::string backend = flags.get_string("backend");
-  if (backend == "statevector") {
-    spec.sim.backend = qsim::BackendKind::kStatevector;
-  } else if (backend == "trajectory") {
-    spec.sim.backend = qsim::BackendKind::kTrajectory;
-  } else if (backend == "shots") {
-    spec.sim.backend = qsim::BackendKind::kShotSampling;
-  } else {
-    std::fprintf(stderr,
-                 "unknown --backend=%s (statevector, trajectory, shots)\n",
-                 backend.c_str());
-    std::exit(2);
-  }
-  spec.sim.shots = static_cast<std::size_t>(flags.get_int("shots"));
-  spec.sim.noise.gate_error = flags.get_double("gate_error");
-  spec.sim.seed = static_cast<std::uint64_t>(flags.get_int("sim_seed"));
-  return spec;
-}
 
 /// --reference: answers each request in-process, no queue, no workers.
 int run_reference(const std::shared_ptr<const serve::LoadedModel>& loaded,
@@ -302,20 +277,8 @@ int main(int argc, char** argv) {
   Flags flags;
   // Model spec (must match the checkpoint's architecture).
   flags.add_string("checkpoint", "", "checkpoint path (v1 or v2; required)");
-  flags.add_string("model", "sq-ae",
-                   "classical-ae, classical-vae, fbq-ae, fbq-vae, hbq-ae, "
-                   "hbq-vae, sq-ae, sq-vae");
   flags.add_int("input_dim", 64, "model input dimension");
-  flags.add_int("layers", 3, "entangling layers per circuit");
-  flags.add_int("patches", 2, "patch count (sq-ae / sq-vae)");
-  flags.add_int("latent", 6, "latent dimension (classical models)");
-  // Simulation regime.
-  flags.add_string("backend", "statevector",
-                   "measurement regime: statevector, trajectory, shots");
-  flags.add_int("shots", 1024, "shots / trajectories per estimate");
-  flags.add_double("gate_error", 0.0,
-                   "per-gate Pauli error rate (trajectory backend)");
-  flags.add_int("sim_seed", 0x5eed, "backend stream base seed");
+  models::add_model_flags(flags);
   // Serving knobs.
   flags.add_int("max_batch", 16, "micro-batch size cap (1 = no batching)");
   flags.add_int("max_wait_us", 0,
@@ -358,7 +321,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--checkpoint is required\n");
     return 2;
   }
-  const serve::ModelSpec spec = spec_from_flags(flags);
+  serve::ModelSpec spec;
+  std::string spec_error;
+  if (!models::spec_from_flags(flags, &spec, &spec_error)) {
+    std::fprintf(stderr, "sqvae_serve: %s\n", spec_error.c_str());
+    return 2;
+  }
+  spec.input_dim = static_cast<std::size_t>(flags.get_int("input_dim"));
 
   if (flags.get_bool("reference")) {
     std::string error;

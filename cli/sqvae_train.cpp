@@ -36,11 +36,8 @@
 #include "data/digits.h"
 #include "data/molecule_dataset.h"
 #include "data/shard_dataset.h"
-#include "models/baseline_quantum.h"
-#include "models/classical.h"
-#include "models/scalable_quantum.h"
+#include "models/model_spec.h"
 #include "models/trainer.h"
-#include "qsim/backend.h"
 
 namespace {
 
@@ -101,63 +98,6 @@ Scenario load_scenario(const Flags& flags, Rng& rng) {
   return s;
 }
 
-std::unique_ptr<models::Autoencoder> make_model(const Flags& flags,
-                                                std::size_t input_dim,
-                                                Rng& rng) {
-  const std::string name = flags.get_string("model");
-  const int layers = static_cast<int>(flags.get_int("layers"));
-  const std::size_t latent =
-      static_cast<std::size_t>(flags.get_int("latent"));
-  if (name == "classical-ae" || name == "classical-vae") {
-    models::ClassicalConfig c = input_dim >= 1024
-                                    ? models::classical_config_1024(latent)
-                                    : models::classical_config_64(latent);
-    c.input_dim = input_dim;
-    if (name == "classical-ae") {
-      return std::make_unique<models::ClassicalAe>(c, rng);
-    }
-    return std::make_unique<models::ClassicalVae>(c, rng);
-  }
-  if (name == "fbq-ae") return models::make_fbq_ae(input_dim, layers, rng);
-  if (name == "fbq-vae") return models::make_fbq_vae(input_dim, layers, rng);
-  if (name == "hbq-ae") return models::make_hbq_ae(input_dim, layers, rng);
-  if (name == "hbq-vae") return models::make_hbq_vae(input_dim, layers, rng);
-  if (name == "sq-ae" || name == "sq-vae") {
-    models::ScalableQuantumConfig c;
-    c.input_dim = input_dim;
-    c.patches = static_cast<int>(flags.get_int("patches"));
-    c.entangling_layers = layers;
-    if (name == "sq-ae") return models::make_sq_ae(c, rng);
-    return models::make_sq_vae(c, rng);
-  }
-  std::fprintf(stderr,
-               "unknown --model=%s (classical-ae, classical-vae, fbq-ae, "
-               "fbq-vae, hbq-ae, hbq-vae, sq-ae, sq-vae)\n",
-               name.c_str());
-  std::exit(2);
-}
-
-qsim::SimulationOptions sim_from_flags(const Flags& flags) {
-  qsim::SimulationOptions sim;
-  const std::string backend = flags.get_string("backend");
-  if (backend == "statevector") {
-    sim.backend = qsim::BackendKind::kStatevector;
-  } else if (backend == "trajectory") {
-    sim.backend = qsim::BackendKind::kTrajectory;
-  } else if (backend == "shots") {
-    sim.backend = qsim::BackendKind::kShotSampling;
-  } else {
-    std::fprintf(stderr,
-                 "unknown --backend=%s (statevector, trajectory, shots)\n",
-                 backend.c_str());
-    std::exit(2);
-  }
-  sim.shots = static_cast<std::size_t>(flags.get_int("shots"));
-  sim.noise.gate_error = flags.get_double("gate_error");
-  sim.seed = static_cast<std::uint64_t>(flags.get_int("sim_seed"));
-  return sim;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -165,9 +105,7 @@ int main(int argc, char** argv) {
   // Scenario / model.
   flags.add_string("scenario", "digits",
                    "dataset: digits, cifar, qm9, pdbbind");
-  flags.add_string("model", "sq-ae",
-                   "classical-ae, classical-vae, fbq-ae, fbq-vae, hbq-ae, "
-                   "hbq-vae, sq-ae, sq-vae");
+  models::add_model_flags(flags);
   flags.add_int("samples", 300, "dataset size");
   flags.add_double("test_fraction", 0.15, "held-out test fraction");
   // Streaming corpus input (overrides --scenario / --samples).
@@ -181,16 +119,6 @@ int main(int argc, char** argv) {
                 "cap on materialized held-out rows with --shards");
   flags.add_bool("l1_normalize", false,
                  "L1-normalise rows (fully quantum baselines)");
-  flags.add_int("layers", 3, "entangling layers per circuit");
-  flags.add_int("patches", 2, "patch count (sq-ae / sq-vae)");
-  flags.add_int("latent", 6, "latent dimension (classical models)");
-  // Simulation regime.
-  flags.add_string("backend", "statevector",
-                   "measurement regime: statevector, trajectory, shots");
-  flags.add_int("shots", 1024, "shots / trajectories per estimate");
-  flags.add_double("gate_error", 0.0,
-                   "per-gate Pauli error rate (trajectory backend)");
-  flags.add_int("sim_seed", 0x5eed, "backend stream seed");
   // Optimisation.
   flags.add_int("epochs", 20, "training epochs");
   flags.add_int("batch", 32, "mini-batch size");
@@ -229,6 +157,12 @@ int main(int argc, char** argv) {
     if (!flags.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  models::ModelSpec spec;
+  std::string error;
+  if (!models::spec_from_flags(flags, &spec, &error)) {
+    std::fprintf(stderr, "sqvae_train: %s\n", error.c_str());
     return 2;
   }
 
@@ -285,7 +219,13 @@ int main(int argc, char** argv) {
   }
   const data::RowSource& train_source = *source_chain.back();
 
-  auto model = make_model(flags, input_dim, rng);
+  spec.input_dim = input_dim;
+  std::unique_ptr<models::Autoencoder> model =
+      models::build_model(spec, rng, &error);
+  if (model == nullptr) {
+    std::fprintf(stderr, "sqvae_train: %s\n", error.c_str());
+    return 2;
+  }
 
   models::TrainConfig config;
   config.epochs = static_cast<std::size_t>(flags.get_int("epochs"));
@@ -295,7 +235,7 @@ int main(int argc, char** argv) {
   config.kl_weight = flags.get_double("kl_weight");
   config.grad_clip = flags.get_double("grad_clip");
   config.lr_decay = flags.get_double("lr_decay");
-  config.sim = sim_from_flags(flags);
+  config.sim = spec.sim;
   config.data_parallel = !flags.get_bool("serial");
   config.num_threads = static_cast<int>(flags.get_int("threads"));
   if (flags.get_int("noise_seed") != 0) {

@@ -7,10 +7,10 @@
 // the C/N/O/F/S heavy-atom alphabet (aromatic vs aliphatic carbon, carbons
 // attached to heteroatoms, amine/amide/aromatic nitrogens, hydroxyl/ether/
 // carbonyl oxygens, thioethers, fluorine) plus hydrogen contributions
-// keyed on the heavy atom they attach to. It is a documented substitution
-// for RDKit's MolLogP (see DESIGN.md §3): deterministic, bounded, and
-// monotone in the same structural features, which is what Table II's
-// relative comparison requires.
+// keyed on the heavy atom they attach to. It stands in for RDKit's
+// MolLogP, which a dependency-free library cannot call: deterministic,
+// bounded, and monotone in the same structural features, which is what
+// Table II's relative comparison requires.
 #pragma once
 
 #include "chem/molecule.h"

@@ -7,8 +7,9 @@
 // over approved drugs. This implementation uses the published ADS parameter
 // table (the one shipped in RDKit's qed.py) and the "mean-weights" variant,
 // with descriptors computed by this library's own models (descriptors.h,
-// logp.h) in place of RDKit's — see DESIGN.md §3 for the substitution note.
-// Output is in (0, 1], higher = more drug-like.
+// logp.h) in place of RDKit's, which a dependency-free library cannot call;
+// scores differ from RDKit's wherever the descriptors do. Output is in
+// (0, 1], higher = more drug-like.
 #pragma once
 
 #include "chem/descriptors.h"

@@ -8,7 +8,7 @@
 // common-environment bonus computed from the same atom environments the
 // other property models use (aromatic carbons, plain chains and common
 // functional groups score as "easy"; dense heteroatom clusters and unusual
-// valences as "hard"). See DESIGN.md §3.
+// valences as "hard"). The database does not ship with this repository.
 //
 // Table II of the paper reports SA normalised to [0, 1] with higher =
 // better (more accessible); normalized_sa_score() applies the standard

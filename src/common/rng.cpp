@@ -27,7 +27,7 @@ Rng::Rng(std::uint64_t seed) {
 Rng::result_type Rng::operator()() {
   // 64-bit truncated-multiply LCG step followed by an xorshift-multiply
   // output permutation. Not literally PCG-XSL-RR-128 but the same design
-  // family; passes the statistical sanity checks in tests/common_rng_test.
+  // family; passes the statistical sanity checks in tests/common_test.cpp.
   state_hi_ = state_hi_ * 6364136223846793005ull + state_lo_;
   std::uint64_t z = state_hi_;
   z ^= z >> 32;

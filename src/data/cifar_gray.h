@@ -6,7 +6,8 @@
 // low-frequency background (random 2D cosine mixture) plus one of several
 // foreground shapes (disc, bar, checker patch, triangle) with soft edges
 // and additive noise. Eight shape/texture classes stand in for the ten
-// CIFAR categories (DESIGN.md §3).
+// CIFAR categories: the dataset does not ship with this repository, and
+// the figure needs only natural-image-like inputs, not the labels.
 #pragma once
 
 #include <vector>

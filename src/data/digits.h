@@ -4,8 +4,9 @@
 // Digits set (8x8 grayscale, intensities 0..16). This generator rasterises
 // ten hand-drawn 8x8 glyph templates and perturbs them (sub-pixel shift,
 // intensity jitter, pixel noise) to produce an arbitrarily large labelled
-// dataset with the same resolution and value range — the reconstruction
-// code path is identical to the real dataset's (DESIGN.md §3).
+// dataset with the same resolution and value range, since scikit-learn's
+// data does not ship with this repository. The reconstruction code path is
+// identical to the real dataset's.
 #pragma once
 
 #include <vector>

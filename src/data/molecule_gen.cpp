@@ -57,7 +57,7 @@ int add_aromatic_ring(Molecule& mol, const MoleculeGenConfig& config,
   // Ring atoms: carbons with at most one heteroatom. Only pyridine-type N
   // is used: with aromatic bond order 1.5, an aromatic N consumes exactly
   // its valence of 3, whereas aromatic O/S would be over-valent under this
-  // arithmetic (lone-pair aromaticity is not modelled — see DESIGN.md).
+  // arithmetic, which does not model lone-pair aromaticity.
   std::vector<int> ring;
   const bool hetero = rng.bernoulli(0.35);
   const int hetero_pos = hetero ? rng.uniform_int(0, size - 1) : -1;

@@ -4,7 +4,7 @@
 // refined ligands filtered to <= 32 heavy atoms over C/N/O/F/S. Neither
 // dataset ships with this repository, so generate_molecule() synthesises
 // valence-correct molecules with the same alphabet, size range, ring
-// content, and bond-type distribution (DESIGN.md §3): a random
+// content, and bond-type distribution: a random
 // spanning-tree skeleton grown atom by atom under free-valence
 // constraints, aromatic 5/6-rings inserted first, optional aliphatic ring
 // closures, and a bond-order upgrade pass. Every emitted molecule

@@ -4,15 +4,53 @@
 
 namespace sqvae::models {
 
+namespace {
+
+/// z = mu + exp(logvar / 2) * eps as tape ops, with eps = `noise`.
+Var reparameterize(Tape& tape, Var mu, Var logvar, const Matrix& noise) {
+  Var sigma = tape.exp_(tape.scale(logvar, 0.5));
+  return tape.add(mu, tape.mul(sigma, tape.constant(noise)));
+}
+
+}  // namespace
+
+ForwardResult Autoencoder::forward(Tape& tape, Var input,
+                                   const Matrix& noise) {
+  Var h = encode(tape, input);
+  GaussianHeads* g = heads();
+  if (g == nullptr) {
+    assert(noise.empty() && "plain autoencoders take no noise");
+    return ForwardResult{decode(tape, h), std::nullopt, std::nullopt};
+  }
+  assert(noise.rows() == tape.value(input).rows() &&
+         noise.cols() == latent_dim() && "one noise row per input row");
+  Var mu = g->mu.forward(tape, h);
+  Var logvar = g->logvar.forward(tape, h);
+  Var z = reparameterize(tape, mu, logvar, noise);
+  return ForwardResult{decode(tape, z), mu, logvar};
+}
+
+Var Autoencoder::encode_mean(Tape& tape, Var input) {
+  Var h = encode(tape, input);
+  GaussianHeads* g = heads();
+  return g == nullptr ? h : g->mu.forward(tape, h);
+}
+
+Matrix Autoencoder::draw_noise(std::size_t rows, sqvae::Rng& rng) {
+  if (!is_generative()) return Matrix();
+  Matrix eps(rows, latent_dim());
+  for (std::size_t i = 0; i < eps.size(); ++i) eps[i] = rng.normal();
+  return eps;
+}
+
 Var Autoencoder::build_loss(Tape& tape, const Matrix& batch, sqvae::Rng& rng,
                             LossStats* stats) {
   Var input = tape.constant(batch);
-  ForwardResult fwd = forward(tape, input, rng);
+  ForwardResult fwd = forward(tape, input, draw_noise(batch.rows(), rng));
   Var mse = tape.mse_loss(fwd.reconstruction, batch);
   Var total = mse;
   double kl_value = 0.0;
-  if (is_generative()) {
-    assert(fwd.mu && fwd.logvar && "generative forward must emit (mu,logvar)");
+  if (fwd.mu) {
     Var kl = tape.kl_gaussian(*fwd.mu, *fwd.logvar);
     kl_value = tape.value(kl)(0, 0);
     total = tape.add(mse, tape.scale(kl, kl_weight_));
@@ -26,9 +64,12 @@ Var Autoencoder::build_loss(Tape& tape, const Matrix& batch, sqvae::Rng& rng,
 }
 
 Matrix Autoencoder::reconstruct(const Matrix& batch, sqvae::Rng& rng) {
+  return reconstruct(batch, draw_noise(batch.rows(), rng));
+}
+
+Matrix Autoencoder::reconstruct(const Matrix& batch, const Matrix& noise) {
   Tape tape;
-  Var input = tape.constant(batch);
-  ForwardResult fwd = forward(tape, input, rng);
+  ForwardResult fwd = forward(tape, tape.constant(batch), noise);
   return tape.value(fwd.reconstruction);
 }
 
@@ -51,11 +92,7 @@ double Autoencoder::evaluate_mse(const Matrix& data, sqvae::Rng& rng) {
 
 Matrix Autoencoder::sample(std::size_t count, sqvae::Rng& rng) {
   assert(is_generative() && "vanilla autoencoders cannot sample");
-  Matrix z(count, latent_dim());
-  for (std::size_t i = 0; i < z.size(); ++i) z[i] = rng.normal();
-  Tape tape;
-  Var out = decode(tape, tape.constant(std::move(z)));
-  return tape.value(out);
+  return decode_values(draw_noise(count, rng));
 }
 
 std::size_t Autoencoder::num_quantum_parameters() {

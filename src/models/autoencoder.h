@@ -6,10 +6,13 @@
 //   H-BQ-AE / H-BQ-VAE  hybrid baseline      (models/baseline_quantum.h)
 //   SQ-AE  / SQ-VAE     scalable, patched    (models/scalable_quantum.h)
 //
-// Every model implements forward() (reconstruction graph; VAEs also emit
-// (mu, logvar) and reparameterise internally) and decode() (latent ->
-// features, the generator network). The base class derives the training
-// loss (MSE, plus KL for generative models), inference-mode
+// Every model supplies an encoder trunk (encode), the (mu, logvar) heads
+// when it is generative, and a decoder (decode: latent -> features, the
+// generator network). The base class wires them once: forward() runs trunk
+// -> heads -> reparameterisation -> decode with the noise passed in as
+// data, so one batch can mix rows of different noise streams, and
+// encode_mean() runs trunk -> mu head. On top of those it derives the
+// training loss (MSE, plus KL for generative models), inference-mode
 // reconstruction, prior sampling, and the quantum/classical parameter
 // split that the heterogeneous-learning-rate optimizer groups rely on.
 #pragma once
@@ -20,6 +23,7 @@
 
 #include "autodiff/tape.h"
 #include "common/rng.h"
+#include "nn/linear.h"
 #include "nn/optim.h"
 #include "qsim/backend.h"
 
@@ -36,6 +40,20 @@ struct ForwardResult {
   std::optional<Var> logvar;  // generative models only
 };
 
+/// The (mu, logvar) heads of a generative model: two affine maps from the
+/// encoder trunk's output to the latent space, built mu first.
+struct GaussianHeads {
+  GaussianHeads(std::size_t width, std::size_t latent_dim, sqvae::Rng& rng)
+      : mu(width, latent_dim, rng), logvar(width, latent_dim, rng) {}
+
+  std::vector<ad::Parameter*> parameters() {
+    return {&mu.weight, &mu.bias, &logvar.weight, &logvar.bias};
+  }
+
+  nn::Linear mu;
+  nn::Linear logvar;
+};
+
 /// Scalar diagnostics of one loss evaluation.
 struct LossStats {
   double total = 0.0;
@@ -47,22 +65,27 @@ class Autoencoder {
  public:
   virtual ~Autoencoder() = default;
 
-  /// Builds the reconstruction graph for a batch var. `rng` supplies the
-  /// reparameterisation noise (unused by vanilla AEs).
-  virtual ForwardResult forward(Tape& tape, Var input, sqvae::Rng& rng) = 0;
-
-  /// Generator network: latent batch -> feature batch.
-  virtual Var decode(Tape& tape, Var z) = 0;
+  /// Builds the reconstruction graph for a batch var. `noise` holds the
+  /// reparameterisation's standard normals of a generative model, one
+  /// latent_dim() row per input row; a plain AE takes an empty matrix.
+  ForwardResult forward(Tape& tape, Var input, const Matrix& noise);
 
   /// Deterministic latent code of each input row: the encoder output for
   /// plain AEs, the mean of q(z|x) for VAEs (the reparameterisation without
   /// noise). One encoder API across the zoo — latent-space optimization and
   /// the serving layer's `encode` endpoint both go through here.
-  virtual Var encode_mean(Tape& tape, Var input) = 0;
+  Var encode_mean(Tape& tape, Var input);
+
+  /// Encoder trunk: input batch -> the latent batch of a plain AE, or the
+  /// representation a VAE's (mu, logvar) heads read.
+  virtual Var encode(Tape& tape, Var input) = 0;
+
+  /// Generator network: latent batch -> feature batch.
+  virtual Var decode(Tape& tape, Var z) = 0;
 
   virtual std::size_t input_dim() const = 0;
   virtual std::size_t latent_dim() const = 0;
-  virtual bool is_generative() const = 0;
+  bool is_generative() const { return heads() != nullptr; }
 
   /// Parameters living in quantum circuits (rotation angles).
   virtual std::vector<ad::Parameter*> quantum_parameters() = 0;
@@ -81,9 +104,13 @@ class Autoencoder {
 
   /// Weight on the KL term of generative losses (loss = MSE + kl_weight*KL).
   /// The paper trains with "a single loss term"; the default weight keeps
-  /// the KL gradient from drowning the 1024-feature MSE (see DESIGN.md §4).
+  /// the KL gradient from drowning the MSE, which averages over all 1024
+  /// features while the KL sums over the latent dimensions.
   double kl_weight() const { return kl_weight_; }
   void set_kl_weight(double w) { kl_weight_ = w; }
+
+  // The Rng entry points below draw a batch's noise rows from `rng`:
+  // rows x latent_dim standard normals in row-major order.
 
   /// Builds loss = MSE(recon, input) [+ kl_weight * KL] on the tape.
   Var build_loss(Tape& tape, const Matrix& batch, sqvae::Rng& rng,
@@ -91,6 +118,8 @@ class Autoencoder {
 
   /// Inference-mode reconstruction (graph built and discarded).
   Matrix reconstruct(const Matrix& batch, sqvae::Rng& rng);
+  /// The same with explicit noise rows (see forward).
+  Matrix reconstruct(const Matrix& batch, const Matrix& noise);
 
   /// Inference-mode deterministic latent codes (encode_mean, no tape kept).
   Matrix encode_values(const Matrix& batch);
@@ -114,7 +143,14 @@ class Autoencoder {
   std::vector<nn::ParamGroup> param_groups(double quantum_lr,
                                            double classical_lr);
 
+ protected:
+  /// The (mu, logvar) heads; null for plain AEs.
+  virtual GaussianHeads* heads() const { return nullptr; }
+
  private:
+  /// The noise rows of a `rows`-row batch (none for plain AEs).
+  Matrix draw_noise(std::size_t rows, sqvae::Rng& rng);
+
   double kl_weight_ = 0.01;
 };
 

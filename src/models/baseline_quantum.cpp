@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "models/classical.h"
-
 namespace sqvae::models {
 
 namespace {
@@ -52,34 +50,13 @@ BaselineQuantumAutoencoder::BaselineQuantumAutoencoder(
     output_fc_ =
         std::make_unique<nn::Linear>(config_.input_dim, config_.input_dim, rng);
   }
-  if (config_.generative) {
-    mu_head_ = std::make_unique<nn::Linear>(n, n, rng);
-    logvar_head_ = std::make_unique<nn::Linear>(n, n, rng);
-  }
+  if (config_.generative) heads_ = std::make_unique<GaussianHeads>(n, n, rng);
 }
 
 Var BaselineQuantumAutoencoder::encode(Tape& tape, Var input) {
   Var h = encoder_.forward(tape, input);
   if (latent_fc_) h = latent_fc_->forward(tape, h);
   return h;
-}
-
-Var BaselineQuantumAutoencoder::encode_mean(Tape& tape, Var input) {
-  Var h = encode(tape, input);
-  if (config_.generative) return mu_head_->forward(tape, h);
-  return h;
-}
-
-ForwardResult BaselineQuantumAutoencoder::forward(Tape& tape, Var input,
-                                                  sqvae::Rng& rng) {
-  Var h = encode(tape, input);
-  if (config_.generative) {
-    Var mu = mu_head_->forward(tape, h);
-    Var logvar = logvar_head_->forward(tape, h);
-    Var z = reparameterize(tape, mu, logvar, rng);
-    return ForwardResult{decode(tape, z), mu, logvar};
-  }
-  return ForwardResult{decode(tape, h), std::nullopt, std::nullopt};
 }
 
 Var BaselineQuantumAutoencoder::decode(Tape& tape, Var z) {
@@ -109,8 +86,9 @@ BaselineQuantumAutoencoder::classical_parameters() {
     }
   };
   append(latent_fc_.get());
-  append(mu_head_.get());
-  append(logvar_head_.get());
+  if (heads_) {
+    for (ad::Parameter* p : heads_->parameters()) out.push_back(p);
+  }
   append(output_fc_.get());
   return out;
 }

@@ -40,32 +40,28 @@ class BaselineQuantumAutoencoder final : public Autoencoder {
   BaselineQuantumAutoencoder(const BaselineQuantumConfig& config,
                              sqvae::Rng& rng);
 
-  ForwardResult forward(Tape& tape, Var input, sqvae::Rng& rng) override;
+  /// Encoder circuit measurements, through the latent FC when hybrid.
+  Var encode(Tape& tape, Var input) override;
   Var decode(Tape& tape, Var z) override;
   std::size_t input_dim() const override { return config_.input_dim; }
   std::size_t latent_dim() const override {
     return static_cast<std::size_t>(config_.num_qubits());
   }
-  bool is_generative() const override { return config_.generative; }
   std::vector<ad::Parameter*> quantum_parameters() override;
   std::vector<ad::Parameter*> classical_parameters() override;
   void set_simulation_options(const qsim::SimulationOptions& sim) override;
 
-  /// Encoder-only pass: input batch -> latent batch (tests, examples).
-  Var encode(Tape& tape, Var input);
-
-  /// encode() for the AE variants; the mu head's output for the VAEs.
-  Var encode_mean(Tape& tape, Var input) override;
+ protected:
+  GaussianHeads* heads() const override { return heads_.get(); }
 
  private:
   BaselineQuantumConfig config_;
   QuantumLayer encoder_;
   QuantumLayer decoder_;
   // Optional classical parts (null when not configured).
-  std::unique_ptr<nn::Linear> latent_fc_;    // hybrid
-  std::unique_ptr<nn::Linear> output_fc_;    // hybrid
-  std::unique_ptr<nn::Linear> mu_head_;      // generative
-  std::unique_ptr<nn::Linear> logvar_head_;  // generative
+  std::unique_ptr<nn::Linear> latent_fc_;  // hybrid
+  std::unique_ptr<nn::Linear> output_fc_;  // hybrid
+  std::unique_ptr<GaussianHeads> heads_;   // generative
 };
 
 // Convenience factories matching the paper's names.

@@ -38,14 +38,6 @@ ClassicalConfig classical_config_1024(std::size_t latent_dim) {
   return ClassicalConfig{1024, {256, 128}, latent_dim};
 }
 
-Var reparameterize(Tape& tape, Var mu, Var logvar, sqvae::Rng& rng) {
-  const Matrix& mv = tape.value(mu);
-  Matrix eps(mv.rows(), mv.cols());
-  for (std::size_t i = 0; i < eps.size(); ++i) eps[i] = rng.normal();
-  Var sigma = tape.exp_(tape.scale(logvar, 0.5));
-  return tape.add(mu, tape.mul(sigma, tape.constant(std::move(eps))));
-}
-
 // ---------------------------------------------------------------- AE ----
 
 ClassicalAe::ClassicalAe(const ClassicalConfig& config, sqvae::Rng& rng)
@@ -54,12 +46,7 @@ ClassicalAe::ClassicalAe(const ClassicalConfig& config, sqvae::Rng& rng)
                nn::Activation::kReLU, rng),
       decoder_(decoder_dims(config), nn::Activation::kReLU, rng) {}
 
-ForwardResult ClassicalAe::forward(Tape& tape, Var input, sqvae::Rng&) {
-  Var z = encoder_.forward(tape, input);
-  return ForwardResult{decode(tape, z), std::nullopt, std::nullopt};
-}
-
-Var ClassicalAe::encode_mean(Tape& tape, Var input) {
+Var ClassicalAe::encode(Tape& tape, Var input) {
   return encoder_.forward(tape, input);
 }
 
@@ -79,35 +66,25 @@ ClassicalVae::ClassicalVae(const ClassicalConfig& config, sqvae::Rng& rng)
     : config_(config),
       encoder_trunk_(encoder_dims(config, /*to_latent=*/false),
                      nn::Activation::kReLU, rng),
-      mu_head_(config.hidden.back(), config.latent_dim, rng),
-      logvar_head_(config.hidden.back(), config.latent_dim, rng),
+      heads_(std::make_unique<GaussianHeads>(config.hidden.back(),
+                                             config.latent_dim, rng)),
       decoder_(decoder_dims(config), nn::Activation::kReLU, rng) {
   assert(!config.hidden.empty());
 }
 
-ForwardResult ClassicalVae::forward(Tape& tape, Var input, sqvae::Rng& rng) {
+Var ClassicalVae::encode(Tape& tape, Var input) {
   // The trunk MLP's last layer is linear; apply the hidden activation to it
   // before the heads (trunk output *is* the last hidden representation).
-  Var h = tape.relu(encoder_trunk_.forward(tape, input));
-  Var mu = mu_head_.forward(tape, h);
-  Var logvar = logvar_head_.forward(tape, h);
-  Var z = reparameterize(tape, mu, logvar, rng);
-  return ForwardResult{decode(tape, z), mu, logvar};
+  return tape.relu(encoder_trunk_.forward(tape, input));
 }
 
 Var ClassicalVae::decode(Tape& tape, Var z) {
   return decoder_.forward(tape, z);
 }
 
-Var ClassicalVae::encode_mean(Tape& tape, Var input) {
-  Var h = tape.relu(encoder_trunk_.forward(tape, input));
-  return mu_head_.forward(tape, h);
-}
-
 std::vector<ad::Parameter*> ClassicalVae::classical_parameters() {
   std::vector<ad::Parameter*> out = encoder_trunk_.parameters();
-  for (ad::Parameter* p : mu_head_.parameters()) out.push_back(p);
-  for (ad::Parameter* p : logvar_head_.parameters()) out.push_back(p);
+  for (ad::Parameter* p : heads_->parameters()) out.push_back(p);
   for (ad::Parameter* p : decoder_.parameters()) out.push_back(p);
   return out;
 }

@@ -3,8 +3,8 @@
 // Encoder: input -> hidden MLP (ReLU) -> latent; decoder mirrors the
 // encoder. The paper's 64-dim models use hidden layers 32 and 16 with a
 // 6-dim latent; the 1024-dim PDBbind models keep the same two-hidden-layer
-// shape scaled up (128, 64 — see DESIGN.md). The VAE replaces the
-// encoder's final projection with (mu, logvar) heads and reparameterises.
+// shape scaled up to (256, 128) — see classical_config_1024. The VAE
+// replaces the encoder's final projection with (mu, logvar) heads.
 #pragma once
 
 #include <memory>
@@ -29,12 +29,10 @@ class ClassicalAe final : public Autoencoder {
  public:
   ClassicalAe(const ClassicalConfig& config, sqvae::Rng& rng);
 
-  ForwardResult forward(Tape& tape, Var input, sqvae::Rng& rng) override;
+  Var encode(Tape& tape, Var input) override;
   Var decode(Tape& tape, Var z) override;
-  Var encode_mean(Tape& tape, Var input) override;
   std::size_t input_dim() const override { return config_.input_dim; }
   std::size_t latent_dim() const override { return config_.latent_dim; }
-  bool is_generative() const override { return false; }
   std::vector<ad::Parameter*> quantum_parameters() override { return {}; }
   std::vector<ad::Parameter*> classical_parameters() override;
 
@@ -48,25 +46,21 @@ class ClassicalVae final : public Autoencoder {
  public:
   ClassicalVae(const ClassicalConfig& config, sqvae::Rng& rng);
 
-  ForwardResult forward(Tape& tape, Var input, sqvae::Rng& rng) override;
+  Var encode(Tape& tape, Var input) override;
   Var decode(Tape& tape, Var z) override;
-  Var encode_mean(Tape& tape, Var input) override;
   std::size_t input_dim() const override { return config_.input_dim; }
   std::size_t latent_dim() const override { return config_.latent_dim; }
-  bool is_generative() const override { return true; }
   std::vector<ad::Parameter*> quantum_parameters() override { return {}; }
   std::vector<ad::Parameter*> classical_parameters() override;
+
+ protected:
+  GaussianHeads* heads() const override { return heads_.get(); }
 
  private:
   ClassicalConfig config_;
   nn::Mlp encoder_trunk_;  // input -> last hidden
-  nn::Linear mu_head_;
-  nn::Linear logvar_head_;
+  std::unique_ptr<GaussianHeads> heads_;
   nn::Mlp decoder_;
 };
-
-/// Reparameterisation z = mu + exp(logvar/2) * eps as tape ops; `eps` is
-/// drawn from `rng`. Shared by every generative model in the zoo.
-Var reparameterize(Tape& tape, Var mu, Var logvar, sqvae::Rng& rng);
 
 }  // namespace sqvae::models

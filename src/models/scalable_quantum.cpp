@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "models/classical.h"
-
 namespace sqvae::models {
 
 namespace {
@@ -86,12 +84,8 @@ ScalableQuantumAutoencoder::ScalableQuantumAutoencoder(
     decoder_patches_.emplace_back(patch_decoder_config(config, p), rng);
   }
   if (config.generative) {
-    mu_head_ =
-        std::make_unique<nn::Linear>(config.latent_dim(), config.latent_dim(),
-                                     rng);
-    logvar_head_ =
-        std::make_unique<nn::Linear>(config.latent_dim(), config.latent_dim(),
-                                     rng);
+    heads_ = std::make_unique<GaussianHeads>(config.latent_dim(),
+                                             config.latent_dim(), rng);
   }
 }
 
@@ -106,24 +100,6 @@ Var ScalableQuantumAutoencoder::encode(Tape& tape, Var input) {
   }
   Var h = tape.concat_cols(measured);
   return encoder_fc_.forward(tape, h);
-}
-
-Var ScalableQuantumAutoencoder::encode_mean(Tape& tape, Var input) {
-  Var h = encode(tape, input);
-  if (config_.generative) return mu_head_->forward(tape, h);
-  return h;
-}
-
-ForwardResult ScalableQuantumAutoencoder::forward(Tape& tape, Var input,
-                                                  sqvae::Rng& rng) {
-  Var h = encode(tape, input);
-  if (config_.generative) {
-    Var mu = mu_head_->forward(tape, h);
-    Var logvar = logvar_head_->forward(tape, h);
-    Var z = reparameterize(tape, mu, logvar, rng);
-    return ForwardResult{decode(tape, z), mu, logvar};
-  }
-  return ForwardResult{decode(tape, h), std::nullopt, std::nullopt};
 }
 
 Var ScalableQuantumAutoencoder::decode(Tape& tape, Var z) {
@@ -161,9 +137,8 @@ ScalableQuantumAutoencoder::classical_parameters() {
   std::vector<ad::Parameter*> out;
   for (ad::Parameter* p : encoder_fc_.parameters()) out.push_back(p);
   for (ad::Parameter* p : output_fc_.parameters()) out.push_back(p);
-  if (mu_head_) {
-    for (ad::Parameter* p : mu_head_->parameters()) out.push_back(p);
-    for (ad::Parameter* p : logvar_head_->parameters()) out.push_back(p);
+  if (heads_) {
+    for (ad::Parameter* p : heads_->parameters()) out.push_back(p);
   }
   return out;
 }

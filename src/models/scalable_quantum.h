@@ -48,33 +48,27 @@ class ScalableQuantumAutoencoder final : public Autoencoder {
   ScalableQuantumAutoencoder(const ScalableQuantumConfig& config,
                              sqvae::Rng& rng);
 
-  ForwardResult forward(Tape& tape, Var input, sqvae::Rng& rng) override;
+  /// Patched embedding + measurements + encoder FC.
+  Var encode(Tape& tape, Var input) override;
   Var decode(Tape& tape, Var z) override;
   std::size_t input_dim() const override { return config_.input_dim; }
   std::size_t latent_dim() const override { return config_.latent_dim(); }
-  bool is_generative() const override { return config_.generative; }
   std::vector<ad::Parameter*> quantum_parameters() override;
   std::vector<ad::Parameter*> classical_parameters() override;
   void set_simulation_options(const qsim::SimulationOptions& sim) override;
 
-  /// Encoder pass (patched embedding + measurements + encoder FC).
-  Var encode(Tape& tape, Var input);
-
-  /// Deterministic latent code: encode() for the AE; the mu head's output
-  /// for the VAE (the mean of q(z|x), i.e. the reparameterisation without
-  /// noise). This is the right seed for latent-space optimization.
-  Var encode_mean(Tape& tape, Var input) override;
-
   const ScalableQuantumConfig& config() const { return config_; }
+
+ protected:
+  GaussianHeads* heads() const override { return heads_.get(); }
 
  private:
   ScalableQuantumConfig config_;
   std::vector<QuantumLayer> encoder_patches_;
   std::vector<QuantumLayer> decoder_patches_;
-  nn::Linear encoder_fc_;                    // LSD -> LSD
-  nn::Linear output_fc_;                     // LSD -> input_dim
-  std::unique_ptr<nn::Linear> mu_head_;      // generative
-  std::unique_ptr<nn::Linear> logvar_head_;  // generative
+  nn::Linear encoder_fc_;                  // LSD -> LSD
+  nn::Linear output_fc_;                   // LSD -> input_dim
+  std::unique_ptr<GaussianHeads> heads_;   // generative
 };
 
 std::unique_ptr<ScalableQuantumAutoencoder> make_sq_ae(

@@ -86,7 +86,7 @@ struct EpochSums {
 /// barrier. No GUARDED_BY applies because no mutex exists; adding one
 /// would serialise the engine and change nothing about the result, which
 /// is bit-identical for every thread count already (the determinism
-/// contract pinned by tests/trainer_parallel_test.cpp).
+/// contract pinned by tests/models_training_engine_test.cpp).
 struct ShardedEpochState {
   ShardedEpochState(std::size_t batch_size, std::size_t num_params)
       : sample_grads(batch_size, std::vector<Matrix>(num_params)),

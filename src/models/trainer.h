@@ -22,8 +22,12 @@
 //     so it too is independent of the thread count.
 //
 //   * serial (data_parallel = false) — the legacy one-tape-per-batch loop,
-//     kept as the A/B baseline for bench_train_micro and for models that
-//     want batch-level reparameterisation draws from the caller's Rng.
+//     kept as the A/B baseline for bench_train_micro; its batch draws its
+//     reparameterisation noise rows from the caller's Rng.
+//
+// Either way build_loss draws the noise rows from the Rng it is given and
+// hands them to Autoencoder::forward as data, so one forward could carry
+// rows of many streams.
 //
 // Both engines weight epoch statistics by *sample* count, so a final short
 // batch no longer skews the reported means.

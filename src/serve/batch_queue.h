@@ -36,11 +36,11 @@
 //     must never block its only thread — it replies "overloaded" and
 //     stays responsive. Shed requests count in the optional
 //     ServerStats' requests_shed.
-//   * Priority lane — encode/decode (one cheap coalesced forward pass
-//     each) ride a high lane that workers drain first and that may use a
-//     reserve beyond max_depth (max_depth/4 extra), so they are neither
-//     starved nor shed by a backlog of expensive reconstructs and
-//     latent_samples (full passes, per-request noise for VAEs).
+//   * Priority lane — encode/decode (half a forward pass each) ride a
+//     high lane that workers drain first and that may use a reserve
+//     beyond max_depth (max_depth/4 extra), so they are neither starved
+//     nor shed by a backlog of expensive reconstructs and latent_samples
+//     (a full encode-and-decode pass, or a decode from a seeded z).
 //     Coalescing spans both lanes: a batch seeded from the high lane
 //     absorbs matching normal-lane requests too, so priority never
 //     *reduces* batching.
@@ -62,7 +62,7 @@ namespace sqvae::serve {
 enum class Endpoint {
   kEncode,        // features -> deterministic latent code (encode_mean)
   kDecode,        // latent -> features
-  kReconstruct,   // features -> features (VAEs reparameterise per request)
+  kReconstruct,   // features -> features (VAE noise from the request seed)
   kLatentSample,  // z ~ N(0, I) from the request seed -> decode
 };
 

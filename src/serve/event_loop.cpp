@@ -37,6 +37,13 @@ constexpr std::uint64_t kWakeToken = 2;
 constexpr std::uint64_t kReloadToken = 3;
 constexpr std::uint64_t kFirstConnToken = 4;
 
+/// Largest output-buffer capacity a drained connection keeps: about a
+/// dozen 1024-value replies (~20 KiB each), more than a pipelining client
+/// with 8 requests in flight gets at once. A smaller floor would release
+/// and regrow the buffer on the loop thread after most such bursts,
+/// delaying every reply queued behind it.
+constexpr std::size_t kOutbufKeepBytes = 256u << 10;
+
 constexpr const char* kOverloadedConnLine =
     "{\"ok\": false, \"error\": \"overloaded: connection limit reached\"}\n";
 
@@ -354,12 +361,24 @@ struct EventLoopServer::Impl {
     if (conn->out_off == conn->outbuf.size()) {
       conn->outbuf.clear();
       conn->out_off = 0;
+      // Keep the buffer of a steady reply stream; give back what a burst
+      // grew it to.
+      if (conn->outbuf.capacity() > kOutbufKeepBytes) {
+        std::string().swap(conn->outbuf);
+      }
       arm_write(conn, false);
       if ((conn->close_after_flush || conn->peer_half_closed || draining) &&
           !conn->pending()) {
         teardown(conn, /*reset=*/false);
         return false;
       }
+    }
+
+    if (conn->out_off > conn->outbuf.size() / 2) {
+      // Most of the buffer is on the wire: drop it, so replies queued
+      // behind a slow reader reuse its room instead of growing it.
+      conn->outbuf.erase(0, conn->out_off);
+      conn->out_off = 0;
     }
 
     const std::size_t backlog = conn->outbuf.size() - conn->out_off;

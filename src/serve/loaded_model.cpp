@@ -2,78 +2,14 @@
 
 #include <cmath>
 
-#include "models/baseline_quantum.h"
 #include "models/checkpoint.h"
-#include "models/classical.h"
-#include "models/scalable_quantum.h"
 
 namespace sqvae::serve {
 
-namespace {
-
-/// Weight-initialisation seed for spec-built models. The values are always
-/// replaced by checkpoint parameters; a fixed seed just keeps build_model
-/// deterministic so replica construction cannot introduce variance.
-constexpr std::uint64_t kBuildSeed = 0x10adedull;
-
-}  // namespace
-
 std::unique_ptr<models::Autoencoder> build_model(const ModelSpec& spec,
                                                  std::string* error) {
-  Rng rng(kBuildSeed);
-  const std::string& kind = spec.kind;
-  if (kind == "classical-ae" || kind == "classical-vae") {
-    models::ClassicalConfig c = spec.input_dim >= 1024
-                                    ? models::classical_config_1024(spec.latent)
-                                    : models::classical_config_64(spec.latent);
-    c.input_dim = spec.input_dim;
-    if (kind == "classical-ae") {
-      return std::make_unique<models::ClassicalAe>(c, rng);
-    }
-    return std::make_unique<models::ClassicalVae>(c, rng);
-  }
-  if (kind == "fbq-ae" || kind == "fbq-vae" || kind == "hbq-ae" ||
-      kind == "hbq-vae") {
-    if ((spec.input_dim & (spec.input_dim - 1)) != 0 || spec.input_dim == 0) {
-      if (error != nullptr) {
-        *error = "baseline quantum models need a power-of-two input_dim";
-      }
-      return nullptr;
-    }
-    models::BaselineQuantumConfig c;
-    c.input_dim = spec.input_dim;
-    c.entangling_layers = spec.entangling_layers;
-    c.hybrid = kind[0] == 'h';
-    c.generative = kind.ends_with("vae");
-    c.sim = spec.sim;
-    return std::make_unique<models::BaselineQuantumAutoencoder>(c, rng);
-  }
-  if (kind == "sq-ae" || kind == "sq-vae") {
-    if (spec.patches <= 0 ||
-        spec.input_dim % static_cast<std::size_t>(spec.patches) != 0) {
-      if (error != nullptr) {
-        *error = "sq-* models need input_dim divisible by patches";
-      }
-      return nullptr;
-    }
-    const std::size_t per_patch =
-        spec.input_dim / static_cast<std::size_t>(spec.patches);
-    if ((per_patch & (per_patch - 1)) != 0) {
-      if (error != nullptr) {
-        *error = "sq-* models need a power-of-two input_dim / patches";
-      }
-      return nullptr;
-    }
-    models::ScalableQuantumConfig c;
-    c.input_dim = spec.input_dim;
-    c.patches = spec.patches;
-    c.entangling_layers = spec.entangling_layers;
-    c.sim = spec.sim;
-    if (kind == "sq-ae") return models::make_sq_ae(c, rng);
-    return models::make_sq_vae(c, rng);
-  }
-  if (error != nullptr) *error = "unknown model kind: " + kind;
-  return nullptr;
+  Rng rng(0x10adedull);
+  return models::build_model(spec, rng, error);
 }
 
 std::shared_ptr<const LoadedModel> LoadedModel::from_checkpoint_text(

@@ -22,30 +22,17 @@
 
 #include "common/matrix.h"
 #include "models/autoencoder.h"
-#include "qsim/backend.h"
+#include "models/model_spec.h"
 
 namespace sqvae::serve {
 
-/// Architecture description sufficient to rebuild any model of the zoo —
-/// the serving-side mirror of sqvae_train's model flags. Checkpoints store
-/// parameter values only, so the spec travels alongside them.
-struct ModelSpec {
-  /// Zoo name: classical-ae, classical-vae, fbq-ae, fbq-vae, hbq-ae,
-  /// hbq-vae, sq-ae, sq-vae (as sqvae_train --model).
-  std::string kind = "sq-ae";
-  std::size_t input_dim = 64;
-  int entangling_layers = 3;
-  int patches = 2;          // sq-* only
-  std::size_t latent = 6;   // classical models only
-  /// Simulation regime replicas run under. Stochastic regimes (trajectory /
-  /// shots) key each estimate by its circuit inputs under this seed, so
-  /// measurement noise does not depend on the request seed — see service.h.
-  qsim::SimulationOptions sim{};
-};
+/// The zoo's architecture description (models/model_spec.h); it travels
+/// alongside each checkpoint, which stores parameter values only.
+using ModelSpec = models::ModelSpec;
 
-/// Builds a freshly-initialised model for `spec` (weights from a fixed
-/// internal seed; callers overwrite them with checkpoint parameters).
-/// Returns null and fills `error` on an unknown kind or invalid shape.
+/// models::build_model with a fixed weight-initialisation seed: serving
+/// overwrites every weight with checkpoint parameters, and a fixed seed
+/// keeps replica construction deterministic.
 std::unique_ptr<models::Autoencoder> build_model(const ModelSpec& spec,
                                                  std::string* error);
 

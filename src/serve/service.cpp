@@ -15,15 +15,10 @@ namespace {
 // sampling, VAE reparameterisation).
 constexpr std::uint64_t kNoiseSalt = 0x5e7e0001ull;
 
-/// Private noise generator of a request.
-sqvae::Rng request_noise_rng(std::uint64_t seed) {
-  return sqvae::Rng(qsim::backend_detail::derive_seed(kNoiseSalt, seed, 0, 0));
-}
-
-/// z ~ N(0, I) row for latent_sample, fully determined by the request seed.
-std::vector<double> latent_sample_row(std::size_t latent_dim,
-                                      std::uint64_t seed) {
-  sqvae::Rng rng = request_noise_rng(seed);
+/// The request's z ~ N(0, I) row: the first latent_dim normals of its
+/// private noise stream.
+std::vector<double> seeded_row(std::size_t latent_dim, std::uint64_t seed) {
+  sqvae::Rng rng(qsim::backend_detail::derive_seed(kNoiseSalt, seed, 0, 0));
   std::vector<double> z(latent_dim);
   for (double& v : z) v = rng.normal();
   return z;
@@ -57,36 +52,35 @@ std::string validate(const LoadedModel& loaded, Endpoint endpoint,
   return "unknown endpoint";
 }
 
-/// True when requests on this (model, endpoint) may share one batched
-/// pass: every draw must be per row — measurement noise is keyed by each
-/// row's circuit inputs, latent_sample pre-draws z from the seed. Only a
-/// VAE's reconstruct draws per batch (its reparameterisation noise), so it
-/// runs per request. See the header's contract.
-bool coalescible(const LoadedModel& loaded, Endpoint endpoint) {
-  return endpoint != Endpoint::kReconstruct || !loaded.is_generative();
-}
-
-/// Executes already-validated requests as one batched pass. Requires
-/// coalescible(loaded, endpoint); rows are computed independently, so the
-/// result rows are bit-identical to size-1 batches of the same requests.
+/// Executes already-validated requests as one batched pass. Rows are
+/// computed independently, so each result row is bit-identical to a size-1
+/// batch of the same request.
 std::vector<std::vector<double>> run_coalesced(
     const LoadedModel& loaded, models::Autoencoder& model, Endpoint endpoint,
-    const std::vector<const Request*>& requests) {
+    const std::vector<Request*>& requests) {
   const std::size_t batch = requests.size();
   const std::size_t in_cols = endpoint == Endpoint::kLatentSample ||
                                       endpoint == Endpoint::kDecode
                                   ? loaded.latent_dim()
                                   : loaded.input_dim();
+  // latent_sample's z and a VAE reconstruct's reparameterisation noise are
+  // the same row: latent_dim normals of the request's noise stream.
+  const bool draws_z = endpoint == Endpoint::kLatentSample;
+  const bool draws_noise =
+      endpoint == Endpoint::kReconstruct && loaded.is_generative();
   Matrix rows(batch, in_cols);
+  Matrix noise = draws_noise ? Matrix(batch, loaded.latent_dim()) : Matrix();
+  auto set_row = [](Matrix& m, std::size_t r, const std::vector<double>& v) {
+    for (std::size_t c = 0; c < v.size(); ++c) m(r, c) = v[c];
+  };
   for (std::size_t r = 0; r < batch; ++r) {
-    if (endpoint == Endpoint::kLatentSample) {
-      const std::vector<double> z =
-          latent_sample_row(loaded.latent_dim(), requests[r]->seed);
-      for (std::size_t c = 0; c < in_cols; ++c) rows(r, c) = z[c];
-    } else {
-      const std::vector<double>& z = requests[r]->input;
-      for (std::size_t c = 0; c < in_cols; ++c) rows(r, c) = z[c];
-    }
+    const Request& request = *requests[r];
+    const std::vector<double> seeded =
+        draws_z || draws_noise
+            ? seeded_row(loaded.latent_dim(), request.seed)
+            : std::vector<double>();
+    set_row(rows, r, draws_z ? seeded : request.input);
+    if (draws_noise) set_row(noise, r, seeded);
   }
 
   Matrix out;
@@ -98,12 +92,9 @@ std::vector<std::vector<double>> run_coalesced(
     case Endpoint::kLatentSample:
       out = model.decode_values(rows);
       break;
-    case Endpoint::kReconstruct: {
-      // Non-generative only (see coalescible): the rng is never consulted.
-      sqvae::Rng unused(0);
-      out = model.reconstruct(rows, unused);
+    case Endpoint::kReconstruct:
+      out = model.reconstruct(rows, noise);
       break;
-    }
   }
 
   std::vector<std::vector<double>> results(batch);
@@ -127,24 +118,10 @@ InferenceResult execute_single(const LoadedModel& loaded,
   request.endpoint = endpoint;
   request.input = input;
   request.seed = seed;
-
   InferenceResult result;
   result.ok = true;
-
-  if (coalescible(loaded, endpoint)) {
-    const std::vector<const Request*> one{&request};
-    result.values = std::move(run_coalesced(loaded, replica, endpoint, one)[0]);
-    return result;
-  }
-
-  // VAE reconstruct: one row with the request's private reparameterisation
-  // noise.
-  sqvae::Rng noise = request_noise_rng(seed);
-  Matrix row(1, input.size());
-  for (std::size_t c = 0; c < input.size(); ++c) row(0, c) = input[c];
-  const Matrix out = replica.reconstruct(row, noise);
-  result.values.resize(out.cols());
-  for (std::size_t c = 0; c < out.cols(); ++c) result.values[c] = out(0, c);
+  result.values = std::move(run_coalesced(loaded, replica, endpoint,
+                                          {&request})[0]);
   return result;
 }
 
@@ -274,24 +251,13 @@ void InferenceService::execute_batch(
   }
   if (work.empty()) return;
 
-  if (coalescible(loaded, endpoint)) {
-    std::vector<const Request*> requests(work.begin(), work.end());
-    std::vector<std::vector<double>> rows =
-        run_coalesced(loaded, *replica.model, endpoint, requests);
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      InferenceResult result;
-      result.ok = true;
-      result.values = std::move(rows[i]);
-      work[i]->on_done(result);
-    }
-    return;
-  }
-
-  // VAE reconstruct: the batch still amortised queue/wakeup costs, but
-  // each request draws its own reparameterisation noise.
-  for (Request* r : work) {
-    r->on_done(
-        execute_single(loaded, *replica.model, endpoint, r->input, r->seed));
+  std::vector<std::vector<double>> rows =
+      run_coalesced(loaded, *replica.model, endpoint, work);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    InferenceResult result;
+    result.ok = true;
+    result.values = std::move(rows[i]);
+    work[i]->on_done(result);
   }
 }
 

@@ -12,20 +12,21 @@
 // Determinism contract: a request's result depends only on (model
 // parameters + spec, endpoint, payload, request seed) — never on batch
 // composition, worker count, queue timing, or concurrent traffic. It is
-// enforced by construction:
+// enforced by construction: every endpoint runs same-key requests as one
+// batched pass under every simulation backend, and that is sound because
+// every row of the pass depends only on its own request:
 //
-//   * encode, decode, non-generative reconstruct and the decode half of
-//     latent_sample are coalesced into one batched pass under every
-//     simulation backend — sound because every layer of the stack computes
-//     rows independently (linear layers are per-row dot products, each
-//     sample owns its statevector, and trajectory/shot measurement noise
-//     is keyed by the row's own circuit inputs — qsim/backend.h), so row i
-//     of a size-B batch is bit-identical to a size-1 batch. Measurement
-//     noise therefore does not depend on the request seed; a VAE's answers
-//     still do, through z;
-//   * VAE reconstruct runs per request: its reparameterisation noise comes
-//     from a private Rng derived from the request seed, so replaying a seed
-//     replays the exact noise.
+//   * every layer of the stack computes rows independently (linear layers
+//     are per-row dot products, each sample owns its statevector, and
+//     trajectory/shot measurement noise is keyed by the row's own circuit
+//     inputs — qsim/backend.h), so row i of a size-B batch is
+//     bit-identical to a size-1 batch. Measurement noise therefore does
+//     not depend on the request seed;
+//   * the draws that do come from the request seed are made per row before
+//     the pass: latent_sample's z, and a VAE reconstruct's
+//     reparameterisation noise, which is the same row (latent_dim normals
+//     of the request's noise stream) handed to the forward as data
+//     (models/autoencoder.h). Replaying a seed replays the exact noise.
 //
 // execute_single() below *is* the contract's reference implementation:
 // serving N requests concurrently through the pool is bit-identical to
@@ -79,9 +80,9 @@ struct ServeConfig {
   std::size_t cache_bytes = 0;
 };
 
-/// Reference implementation of one request — see the determinism contract
-/// above. `replica` must be a private (not concurrently used) replica of
-/// `loaded`.
+/// Reference implementation of one request — the one-row batch of the
+/// determinism contract above. `replica` must be a private (not
+/// concurrently used) replica of `loaded`.
 InferenceResult execute_single(const LoadedModel& loaded,
                                models::Autoencoder& replica, Endpoint endpoint,
                                const std::vector<double>& input,

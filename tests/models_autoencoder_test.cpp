@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "models/baseline_quantum.h"
+#include "models/checkpoint.h"
 #include "models/classical.h"
+#include "models/model_spec.h"
 #include "models/scalable_quantum.h"
 
 namespace sqvae::models {
@@ -12,6 +18,14 @@ Matrix random_batch(std::size_t rows, std::size_t cols, Rng& rng, double lo,
                     double hi) {
   Matrix m(rows, cols);
   for (std::size_t i = 0; i < m.size(); ++i) m[i] = rng.uniform(lo, hi);
+  return m;
+}
+
+/// Standard normals in row-major order, the order the Rng entry points
+/// (build_loss, reconstruct, sample) draw noise rows in.
+Matrix normals(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) m[i] = rng.normal();
   return m;
 }
 
@@ -40,7 +54,8 @@ TEST(ClassicalModels, VaeEmitsLatentStatsAndSamples) {
 
   ad::Tape tape;
   const Matrix batch = random_batch(3, 64, rng, 0, 1);
-  ForwardResult fwd = vae.forward(tape, tape.constant(batch), rng);
+  const Matrix noise = normals(3, vae.latent_dim(), rng);
+  ForwardResult fwd = vae.forward(tape, tape.constant(batch), noise);
   ASSERT_TRUE(fwd.mu.has_value());
   ASSERT_TRUE(fwd.logvar.has_value());
   EXPECT_EQ(tape.value(*fwd.mu).cols(), 6u);
@@ -203,6 +218,127 @@ TEST(Autoencoder, ParamGroupsSplitQuantumAndClassical) {
   const auto cgroups = cae.param_groups(0.03, 0.01);
   ASSERT_EQ(cgroups.size(), 1u);  // no quantum group
   EXPECT_EQ(cgroups[0].lr, 0.01);
+}
+
+TEST(Autoencoder, ExplicitNoiseMatchesRngPathBitwise) {
+  // forward() takes the reparameterisation noise as data. Drawing the same
+  // rows x latent_dim normals up front must give every generative class
+  // the bits of the Rng entry points, which draw them internally, and
+  // leave the Rng in the same state.
+  Rng init(13);
+  ScalableQuantumConfig sq;
+  sq.input_dim = 16;
+  sq.patches = 2;
+  sq.entangling_layers = 1;
+  std::vector<std::unique_ptr<Autoencoder>> zoo;
+  zoo.push_back(std::make_unique<ClassicalVae>(
+      ClassicalConfig{16, {8, 4}, 3}, init));
+  zoo.push_back(make_fbq_vae(16, 1, init));
+  zoo.push_back(make_hbq_vae(16, 1, init));
+  zoo.push_back(make_sq_vae(sq, init));
+  for (std::size_t m = 0; m < zoo.size(); ++m) {
+    Autoencoder& model = *zoo[m];
+    ASSERT_TRUE(model.is_generative());
+    const Matrix batch = random_batch(3, 16, init, 0, 1);
+
+    Rng explicit_rng(99);
+    const Matrix noise = normals(3, model.latent_dim(), explicit_rng);
+    ad::Tape tape;
+    const ForwardResult fwd =
+        model.forward(tape, tape.constant(batch), noise);
+    Rng rng(99);
+    EXPECT_EQ(model.reconstruct(batch, rng), tape.value(fwd.reconstruction))
+        << "model " << m;
+    EXPECT_EQ(model.reconstruct(batch, noise), tape.value(fwd.reconstruction))
+        << "model " << m;
+    EXPECT_EQ(rng.normal(), explicit_rng.normal()) << "model " << m;
+
+    // build_loss draws the same rows: its MSE is the explicit forward's.
+    Rng loss_rng(99);
+    ad::Tape loss_tape;
+    LossStats stats;
+    model.build_loss(loss_tape, batch, loss_rng, &stats);
+    EXPECT_EQ(stats.reconstruction_mse,
+              tape.value(tape.mse_loss(fwd.reconstruction, batch))(0, 0))
+        << "model " << m;
+  }
+
+  // A plain AE takes no noise and draws none.
+  ClassicalAe ae(ClassicalConfig{16, {8, 4}, 3}, init);
+  const Matrix batch = random_batch(2, 16, init, 0, 1);
+  ad::Tape tape;
+  const ForwardResult fwd = ae.forward(tape, tape.constant(batch), Matrix());
+  EXPECT_FALSE(fwd.mu.has_value());
+  Rng rng(5);
+  Rng untouched(5);
+  EXPECT_EQ(ae.reconstruct(batch, rng), tape.value(fwd.reconstruction));
+  EXPECT_EQ(rng.normal(), untouched.normal());
+}
+
+TEST(ModelSpec, FactoryRejectsShapesItsKindCannotTake) {
+  struct Case {
+    const char* kind;
+    std::size_t input_dim;
+    int patches;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"nope", 64, 2,
+       "unknown model kind: nope (classical-ae, classical-vae, fbq-ae, "
+       "fbq-vae, hbq-ae, hbq-vae, sq-ae, sq-vae)"},
+      {"fbq-ae", 48, 2,
+       "baseline quantum models need a power-of-two input_dim"},
+      {"hbq-vae", 0, 2,
+       "baseline quantum models need a power-of-two input_dim"},
+      {"sq-ae", 64, 3, "sq-* models need input_dim divisible by patches"},
+      {"sq-vae", 64, 0, "sq-* models need input_dim divisible by patches"},
+      {"sq-ae", 64, -2, "sq-* models need input_dim divisible by patches"},
+      {"sq-vae", 96, 2, "sq-* models need a power-of-two input_dim / patches"},
+  };
+  for (const Case& c : cases) {
+    ModelSpec spec;
+    spec.kind = c.kind;
+    spec.input_dim = c.input_dim;
+    spec.patches = c.patches;
+    Rng rng(1);
+    std::string error;
+    EXPECT_EQ(build_model(spec, rng, &error), nullptr) << c.kind;
+    EXPECT_EQ(error, c.error) << c.kind << " " << c.input_dim;
+  }
+}
+
+TEST(ModelSpec, FactoryDrawsTheWeightsOfTheDirectConstructors) {
+  // sqvae_train builds through the factory with its master Rng, so the
+  // factory must draw exactly the weights the per-class constructors draw.
+  auto weights = [](Autoencoder& model) {
+    std::vector<Matrix> out;
+    for (const ad::Parameter* p : checkpoint_parameters(model)) {
+      out.push_back(p->value);
+    }
+    return out;
+  };
+  ModelSpec spec;
+  spec.input_dim = 64;
+  spec.entangling_layers = 2;
+  ScalableQuantumConfig sq;
+  sq.input_dim = 64;
+  sq.patches = 2;
+  sq.entangling_layers = 2;
+  ClassicalConfig classical = classical_config_64(spec.latent);
+  std::string error;
+  for (const char* kind : {"sq-vae", "hbq-vae", "classical-vae"}) {
+    spec.kind = kind;
+    Rng a(21), b(21);
+    auto built = build_model(spec, a, &error);
+    ASSERT_NE(built, nullptr) << error;
+    std::unique_ptr<Autoencoder> direct;
+    if (spec.kind == "sq-vae") direct = make_sq_vae(sq, b);
+    if (spec.kind == "hbq-vae") direct = make_hbq_vae(64, 2, b);
+    if (spec.kind == "classical-vae") {
+      direct = std::make_unique<ClassicalVae>(classical, b);
+    }
+    EXPECT_EQ(weights(*built), weights(*direct)) << kind;
+  }
 }
 
 }  // namespace

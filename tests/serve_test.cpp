@@ -33,6 +33,12 @@ serve::ModelSpec small_sq_ae_spec() {
   return spec;
 }
 
+serve::ModelSpec small_sq_vae_spec() {
+  serve::ModelSpec spec = small_sq_ae_spec();
+  spec.kind = "sq-vae";
+  return spec;
+}
+
 serve::ModelSpec small_vae_spec() {
   serve::ModelSpec spec;
   spec.kind = "classical-vae";
@@ -332,54 +338,107 @@ TEST(InferenceService, BatchedEqualsSingleBitwise) {
   // The coalescing soundness claim: rows of one batched pass are bitwise
   // equal to per-request passes. Submit a wave of concurrent requests
   // through a 1-worker service (so they coalesce into one batch), then
-  // compare against synchronous one-at-a-time answers.
-  const serve::ModelSpec spec = small_sq_ae_spec();
-  std::string error;
-  auto model = serve::build_model(spec, &error);
-  serve::ModelRegistry registry;
-  registry.publish("default", serve::LoadedModel::from_model(spec, *model));
+  // compare against synchronous one-at-a-time answers. The VAEs' rows each
+  // carry their own seed's reparameterisation noise.
+  for (const serve::ModelSpec& spec :
+       {small_sq_ae_spec(), small_sq_vae_spec(), small_vae_spec()}) {
+    SCOPED_TRACE(spec.kind);
+    std::string error;
+    auto model = serve::build_model(spec, &error);
+    ASSERT_NE(model, nullptr) << error;
+    serve::ModelRegistry registry;
+    registry.publish("default", serve::LoadedModel::from_model(spec, *model));
 
-  constexpr int kWave = 12;
-  std::vector<std::vector<double>> inputs;
-  for (int i = 0; i < kWave; ++i) {
-    inputs.push_back(ramp(spec.input_dim, 0.3 + 0.1 * i));
+    constexpr int kWave = 12;
+    std::vector<std::vector<double>> inputs;
+    for (int i = 0; i < kWave; ++i) {
+      inputs.push_back(ramp(spec.input_dim, 0.3 + 0.1 * i));
+    }
+
+    std::vector<std::vector<double>> batched(kWave);
+    {
+      serve::ServeConfig config;
+      config.threads = 1;
+      config.max_batch = kWave;
+      // The straggler wait holds the first batch open until the whole wave
+      // has queued, so the wave coalesces however fast the worker runs (an
+      // idle worker coalescing opportunistically may take each request
+      // alone as it arrives).
+      config.max_batch_wait_us = 100000;
+      serve::InferenceService service(registry, config);
+      std::vector<serve_call::Pending> wave;
+      for (int i = 0; i < kWave; ++i) {
+        wave.emplace_back(service, "default", serve::Endpoint::kReconstruct,
+                          inputs[i], static_cast<std::uint64_t>(i));
+      }
+      for (int i = 0; i < kWave; ++i) {
+        const serve::InferenceResult r = wave[i].wait();
+        ASSERT_TRUE(r.ok) << r.error;
+        batched[i] = r.values;
+      }
+      EXPECT_GT(service.queue().total_requests(),
+                service.queue().total_batches());
+    }
+
+    serve::ServeConfig serial;
+    serial.threads = 1;
+    serial.max_batch = 1;
+    serve::InferenceService service(registry, serial);
+    for (int i = 0; i < kWave; ++i) {
+      const serve::InferenceResult r =
+          serve_call::call(service, serve::Endpoint::kReconstruct, inputs[i],
+                           static_cast<std::uint64_t>(i));
+      ASSERT_TRUE(r.ok);
+      EXPECT_EQ(batched[i], r.values) << "row " << i;  // bitwise
+    }
   }
+}
 
-  std::vector<std::vector<double>> batched(kWave);
-  {
+TEST(InferenceService, VaeReconstructNoiseComesFromTheRequestSeed) {
+  // Pins the per-request noise derivation: the request-noise stream of
+  // seed s is Rng(derive_seed(0x5e7e0001, s, 0, 0)). A served VAE
+  // reconstruct with seed s equals reconstruct(x, that stream) through the
+  // Rng entry point, which draws its one noise row as the stream's first
+  // latent_dim normals; latent_sample with seed s decodes exactly that row.
+  for (const serve::ModelSpec& spec : {small_vae_spec(), small_sq_vae_spec()}) {
+    SCOPED_TRACE(spec.kind);
+    std::string error;
+    auto model = serve::build_model(spec, &error);
+    ASSERT_NE(model, nullptr) << error;
+    serve::ModelRegistry registry;
+    registry.publish("default", serve::LoadedModel::from_model(spec, *model));
     serve::ServeConfig config;
-    config.threads = 1;
-    config.max_batch = kWave;
-    // The straggler wait holds the first batch open until the whole wave
-    // has queued, so the wave coalesces however fast the worker runs (an
-    // idle worker coalescing opportunistically may take each request
-    // alone as it arrives).
-    config.max_batch_wait_us = 100000;
+    config.threads = 2;
     serve::InferenceService service(registry, config);
-    std::vector<serve_call::Pending> wave;
-    for (int i = 0; i < kWave; ++i) {
-      wave.emplace_back(service, "default", serve::Endpoint::kReconstruct,
-                        inputs[i], static_cast<std::uint64_t>(i));
-    }
-    for (int i = 0; i < kWave; ++i) {
-      const serve::InferenceResult r = wave[i].wait();
-      ASSERT_TRUE(r.ok) << r.error;
-      batched[i] = r.values;
-    }
-    EXPECT_GT(service.queue().total_requests(),
-              service.queue().total_batches());
-  }
 
-  serve::ServeConfig serial;
-  serial.threads = 1;
-  serial.max_batch = 1;
-  serve::InferenceService service(registry, serial);
-  for (int i = 0; i < kWave; ++i) {
-    const serve::InferenceResult r =
-        serve_call::call(service, serve::Endpoint::kReconstruct, inputs[i],
-                         static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(r.ok);
-    EXPECT_EQ(batched[i], r.values) << "row " << i;  // bitwise
+    const std::vector<double> x = ramp(spec.input_dim);
+    for (const std::uint64_t seed : {0ull, 7ull, 0xdeadbeefcafeull}) {
+      auto stream = [seed] {
+        return Rng(qsim::backend_detail::derive_seed(0x5e7e0001ull, seed, 0,
+                                                     0));
+      };
+      Rng noise = stream();
+      const Matrix expected = model->reconstruct(row_matrix(x), noise);
+      const serve::InferenceResult served =
+          serve_call::call(service, serve::Endpoint::kReconstruct, x, seed);
+      ASSERT_TRUE(served.ok) << served.error;
+      EXPECT_EQ(served.values, std::vector<double>(expected.data(),
+                                                   expected.data() +
+                                                       expected.size()))
+          << "seed " << seed;
+
+      Rng z_stream = stream();
+      Matrix z(1, model->latent_dim());
+      for (std::size_t c = 0; c < z.cols(); ++c) z(0, c) = z_stream.normal();
+      const Matrix sample = model->decode_values(z);
+      const serve::InferenceResult sampled =
+          serve_call::call(service, serve::Endpoint::kLatentSample, {}, seed);
+      ASSERT_TRUE(sampled.ok) << sampled.error;
+      EXPECT_EQ(sampled.values,
+                std::vector<double>(sample.data(),
+                                    sample.data() + sample.size()))
+          << "seed " << seed;
+    }
   }
 }
 

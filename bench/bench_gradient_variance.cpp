@@ -11,8 +11,9 @@
 // would flatten.
 //
 // Runs on the unified backend layer: the exact column batches all draws
-// through CircuitExecutor::adjoint_batch (gate-fused forward passes,
-// OpenMP over draws), and a finite-shot column estimates the same gradient
+// through CircuitExecutor::run_batch and adjoint_batch (gate-fused forward
+// passes, then reverse walks from their final states, OpenMP over draws),
+// and a finite-shot column estimates the same gradient
 // with the parameter-shift rule on ShotSamplingBackend expectations —
 // showing how much measurement noise inflates the gradient variance on
 // hardware-realistic estimates (Var_shot ~ Var_exact + 1/(2*shots)).
@@ -88,11 +89,12 @@ int main(int argc, char** argv) {
           p = rng.uniform(-3.14159265, 3.14159265);
         }
       }
-      const std::vector<Statevector> initials(
-          static_cast<std::size_t>(draws), Statevector(qubits));
+      std::vector<Statevector> finals(static_cast<std::size_t>(draws),
+                                      Statevector(qubits));
+      exec.run_batch(params_batch, finals);
       const std::vector<std::vector<double>> diags(
           static_cast<std::size_t>(draws), diag);
-      const auto results = exec.adjoint_batch(params_batch, initials, diags);
+      const auto results = exec.adjoint_batch(params_batch, finals, diags);
 
       std::vector<double> exact_grads;
       std::vector<double> grad_mags;

@@ -300,8 +300,10 @@ AbRow run_ab(int qubits, int layers, int batch, int reps) {
 // cotangent-weighted <Z> readout of an amplitude-embedded state through
 // `layers` entangling layers. One side loops qsim::adjoint_gradient (the
 // per-gate interpreter sweep, the correctness oracle); the other runs
-// CircuitExecutor::adjoint_batch (fused forward, per-plan-step reverse
-// walk with one cross-matrix reduction per parameterized step). Both run
+// CircuitExecutor::run_batch then adjoint_batch (fused forward, then the
+// per-plan-step reverse walk from its final states, with one cross-matrix
+// reduction per parameterized step), so both sides time forward plus
+// reverse. Both run
 // at a thread budget of 1, so the times compare the algorithms, not the
 // batch loop's threads. max_grad_diff is the largest absolute difference
 // over all slot gradients and initial-state cotangents of the batch; the
@@ -349,9 +351,15 @@ AdjointAbRow run_adjoint_ab(int qubits, int layers, int batch, int reps) {
   row.circuit_ops = exec.num_circuit_ops();
   row.plan_ops = exec.num_plan_ops();
 
+  // The training path: the forward's final states, then the reverse walk.
+  const auto forward_and_reverse = [&] {
+    std::vector<Statevector> finals = initials;
+    exec.run_batch(params, finals);
+    return exec.adjoint_batch(params, finals, diags);
+  };
+
   // Warm-up plus the recorded agreement check.
-  const std::vector<AdjointResult> plan =
-      exec.adjoint_batch(params, initials, diags);
+  const std::vector<AdjointResult> plan = forward_and_reverse();
   for (std::size_t i = 0; i < n; ++i) {
     const AdjointResult ref =
         adjoint_gradient(c, params[i], initials[i], diags[i]);
@@ -378,8 +386,7 @@ AdjointAbRow run_adjoint_ab(int qubits, int layers, int batch, int reps) {
     oracle_samples.push_back(watch.millis());
 
     watch.reset();
-    const std::vector<AdjointResult> res =
-        exec.adjoint_batch(params, initials, diags);
+    const std::vector<AdjointResult> res = forward_and_reverse();
     benchmark::DoNotOptimize(res.data());
     plan_samples.push_back(watch.millis());
   }
@@ -708,8 +715,9 @@ void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
                "  ],\n"
                "  \"adjoint_ab\": {\n"
                "    \"description\": \"qsim::adjoint_gradient (per-gate "
-               "interpreter sweep) vs CircuitExecutor::adjoint_batch "
-               "(per-plan-step reverse walk), amplitude-embedded input, "
+               "interpreter sweep) vs CircuitExecutor::run_batch + "
+               "adjoint_batch (fused forward, per-plan-step reverse walk), "
+               "amplitude-embedded input, "
                "weighted <Z> readout, thread budget 1\",\n"
                "    \"rows\": [\n");
   for (std::size_t i = 0; i < adjoint_rows.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace sqvae::ad {
 
@@ -36,6 +37,7 @@ Var Tape::constant(Matrix value) { return push(std::move(value), false, {}); }
 
 Var Tape::leaf(Parameter* p) {
   assert(p != nullptr);
+  if (values_only_) return constant(p->value);
   Var v = push(p->value, true, {});
   node(v).param = p;
   return v;
@@ -67,10 +69,10 @@ Var Tape::matmul(Var a, Var b) {
     node(out).backward = [a, b, out](Tape& t) {
       const Matrix& g = t.node(out).grad;
       if (t.requires_grad(a)) {
-        t.accum_grad(a, g.matmul(t.value(b).transpose()));
+        t.accum_grad(a, g.matmul_transposed(t.value(b)));
       }
       if (t.requires_grad(b)) {
-        t.accum_grad(b, t.value(a).transpose().matmul(g));
+        t.accum_grad(b, t.value(a).transposed_matmul(g));
       }
     };
   }
@@ -389,7 +391,7 @@ Var Tape::custom(const std::vector<Var>& inputs, Matrix value,
   for (Var v : inputs) ng = ng || requires_grad(v);
   Var out = push(std::move(value), ng, {});
   if (ng) {
-    node(out).backward = [out, backward](Tape& t) {
+    node(out).backward = [out, backward = std::move(backward)](Tape& t) {
       backward(t, t.node(out).grad);
     };
   }

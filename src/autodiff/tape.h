@@ -13,6 +13,13 @@
 // concat/slice for patched circuits) plus Tape::custom(), the escape hatch
 // through which the quantum circuit inserts itself as a differentiable node
 // (models/quantum_layer.*).
+//
+// Inference builds the same graph on a values-only tape (Tape(ValuesOnly)):
+// leaf() brings a parameter in as a constant, so no node requires a
+// gradient, no op records a backward closure, and a custom op can tell from
+// its inputs that it need keep nothing for a backward pass (QuantumLayer
+// then holds no final states). Values are bit-identical to a
+// differentiable tape's.
 #pragma once
 
 #include <functional>
@@ -58,9 +65,13 @@ struct Var {
   bool valid() const { return id >= 0; }
 };
 
+/// Tag selecting a values-only tape (see the file comment).
+struct ValuesOnly {};
+
 class Tape {
  public:
   Tape() = default;
+  explicit Tape(ValuesOnly) : values_only_(true) {}
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
@@ -68,7 +79,8 @@ class Tape {
   /// Non-differentiable input (data batches, sampled noise, targets).
   Var constant(Matrix value);
   /// Differentiable leaf bound to an external parameter; backward()
-  /// accumulates into p->grad.
+  /// accumulates into p->grad. On a values-only tape, a constant holding
+  /// p->value.
   Var leaf(Parameter* p);
 
   // ---- elementwise / linear algebra ----------------------------------
@@ -148,6 +160,7 @@ class Tape {
 
   std::vector<Node> nodes_;
   GradSink* grad_sink_ = nullptr;
+  bool values_only_ = false;
 };
 
 }  // namespace sqvae::ad

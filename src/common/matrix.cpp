@@ -50,6 +50,39 @@ Matrix Matrix::matmul(const Matrix& rhs) const {
   return out;
 }
 
+Matrix Matrix::matmul_transposed(const Matrix& rhs) const {
+  assert(cols_ == rhs.cols_);
+  Matrix out(rows_, rhs.rows_);
+  // matmul's loop nest and update expression, reading rhs by column: the
+  // same sums, and the same NaN whenever both addends are NaN.
+  for (std::size_t i = 0; i < rows_; ++i) {
+    for (std::size_t k = 0; k < cols_; ++k) {
+      const double aik = (*this)(i, k);
+      if (aik == 0.0) continue;
+      for (std::size_t j = 0; j < rhs.rows_; ++j) {
+        out(i, j) += aik * rhs(j, k);
+      }
+    }
+  }
+  return out;
+}
+
+Matrix Matrix::transposed_matmul(const Matrix& rhs) const {
+  assert(rows_ == rhs.rows_);
+  Matrix out(cols_, rhs.cols_);
+  // k outermost keeps every element's sum in ascending k.
+  for (std::size_t k = 0; k < rows_; ++k) {
+    for (std::size_t i = 0; i < cols_; ++i) {
+      const double aki = (*this)(k, i);
+      if (aki == 0.0) continue;
+      for (std::size_t j = 0; j < rhs.cols_; ++j) {
+        out(i, j) += aki * rhs(k, j);
+      }
+    }
+  }
+  return out;
+}
+
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   assert(rows_ == rhs.rows_ && cols_ == rhs.cols_);
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];

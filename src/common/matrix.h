@@ -49,7 +49,15 @@ class Matrix {
   double operator[](std::size_t i) const { return data_[i]; }
 
   Matrix transpose() const;
+  /// this * rhs. Each output element adds its products in ascending k and
+  /// skips the terms whose left factor this(i, k) is zero.
   Matrix matmul(const Matrix& rhs) const;
+  /// this * rhs^T without building the transpose: bit-identical to
+  /// matmul(rhs.transpose()), with the same order and zero skips.
+  Matrix matmul_transposed(const Matrix& rhs) const;
+  /// this^T * rhs without building the transpose: bit-identical to
+  /// transpose().matmul(rhs), with the same order and zero skips.
+  Matrix transposed_matmul(const Matrix& rhs) const;
 
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);

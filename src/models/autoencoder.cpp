@@ -68,19 +68,19 @@ Matrix Autoencoder::reconstruct(const Matrix& batch, sqvae::Rng& rng) {
 }
 
 Matrix Autoencoder::reconstruct(const Matrix& batch, const Matrix& noise) {
-  Tape tape;
+  Tape tape{ad::ValuesOnly{}};
   ForwardResult fwd = forward(tape, tape.constant(batch), noise);
   return tape.value(fwd.reconstruction);
 }
 
 Matrix Autoencoder::encode_values(const Matrix& batch) {
-  Tape tape;
+  Tape tape{ad::ValuesOnly{}};
   Var z = encode_mean(tape, tape.constant(batch));
   return tape.value(z);
 }
 
 Matrix Autoencoder::decode_values(const Matrix& z) {
-  Tape tape;
+  Tape tape{ad::ValuesOnly{}};
   Var out = decode(tape, tape.constant(z));
   return tape.value(out);
 }

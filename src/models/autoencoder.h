@@ -116,15 +116,19 @@ class Autoencoder {
   Var build_loss(Tape& tape, const Matrix& batch, sqvae::Rng& rng,
                  LossStats* stats = nullptr);
 
-  /// Inference-mode reconstruction (graph built and discarded).
+  /// Inference-mode reconstruction on a values-only tape (ad::ValuesOnly):
+  /// no backward closures, no kept circuit states, and the same bits as
+  /// forward() on a differentiable tape.
   Matrix reconstruct(const Matrix& batch, sqvae::Rng& rng);
   /// The same with explicit noise rows (see forward).
   Matrix reconstruct(const Matrix& batch, const Matrix& noise);
 
-  /// Inference-mode deterministic latent codes (encode_mean, no tape kept).
+  /// Inference-mode deterministic latent codes (encode_mean on a
+  /// values-only tape).
   Matrix encode_values(const Matrix& batch);
 
-  /// Inference-mode decode: latent batch -> feature batch (no tape kept).
+  /// Inference-mode decode: latent batch -> feature batch (values-only
+  /// tape).
   Matrix decode_values(const Matrix& z);
 
   /// Mean reconstruction MSE over a dataset, inference mode.

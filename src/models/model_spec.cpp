@@ -23,12 +23,21 @@ std::unique_ptr<Autoencoder> build_model(const ModelSpec& spec,
                                          sqvae::Rng& rng, std::string* error) {
   const std::string& kind = spec.kind;
   if (kind == "classical-ae" || kind == "classical-vae") {
+    if (spec.latent < 1) {
+      return fail(error, "classical models need a latent dimension >= 1");
+    }
     ClassicalConfig c = spec.input_dim >= 1024
                             ? classical_config_1024(spec.latent)
                             : classical_config_64(spec.latent);
     c.input_dim = spec.input_dim;
     if (kind == "classical-ae") return std::make_unique<ClassicalAe>(c, rng);
     return std::make_unique<ClassicalVae>(c, rng);
+  }
+  const bool quantum = kind == "fbq-ae" || kind == "fbq-vae" ||
+                       kind == "hbq-ae" || kind == "hbq-vae" ||
+                       kind == "sq-ae" || kind == "sq-vae";
+  if (quantum && spec.entangling_layers < 1) {
+    return fail(error, "quantum models need at least 1 entangling layer");
   }
   if (kind == "fbq-ae" || kind == "fbq-vae" || kind == "hbq-ae" ||
       kind == "hbq-vae") {
@@ -48,6 +57,11 @@ std::unique_ptr<Autoencoder> build_model(const ModelSpec& spec,
     if (spec.patches <= 0 ||
         spec.input_dim % static_cast<std::size_t>(spec.patches) != 0) {
       return fail(error, "sq-* models need input_dim divisible by patches");
+    }
+    if (spec.input_dim / static_cast<std::size_t>(spec.patches) < 2) {
+      return fail(error,
+                  "sq-* models need input_dim / patches >= 2 (one qubit per "
+                  "patch)");
     }
     if (!is_power_of_two(spec.input_dim /
                          static_cast<std::size_t>(spec.patches))) {
@@ -82,6 +96,12 @@ void add_model_flags(Flags& flags) {
 }
 
 bool spec_from_flags(const Flags& flags, ModelSpec* spec, std::string* error) {
+  for (const char* name : {"layers", "patches", "latent"}) {
+    if (flags.get_int(name) < 1) {
+      *error = std::string("--") + name + " must be >= 1";
+      return false;
+    }
+  }
   spec->kind = flags.get_string("model");
   spec->entangling_layers = static_cast<int>(flags.get_int("layers"));
   spec->patches = static_cast<int>(flags.get_int("patches"));
@@ -98,8 +118,18 @@ bool spec_from_flags(const Flags& flags, ModelSpec* spec, std::string* error) {
              " (statevector, trajectory, shots)";
     return false;
   }
+  if (spec->sim.backend != qsim::BackendKind::kStatevector &&
+      flags.get_int("shots") < 1) {
+    *error = "--shots must be >= 1 under --backend=" + backend;
+    return false;
+  }
+  const double gate_error = flags.get_double("gate_error");
+  if (!(gate_error >= 0.0 && gate_error <= 1.0)) {
+    *error = "--gate_error must lie in [0, 1]";
+    return false;
+  }
   spec->sim.shots = static_cast<std::size_t>(flags.get_int("shots"));
-  spec->sim.noise.gate_error = flags.get_double("gate_error");
+  spec->sim.noise.gate_error = gate_error;
   spec->sim.seed = static_cast<std::uint64_t>(flags.get_int("sim_seed"));
   return true;
 }

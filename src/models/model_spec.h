@@ -31,7 +31,9 @@ struct ModelSpec {
 
 /// Builds a model for `spec`, drawing its initial weights from `rng`.
 /// Returns null and fills `error` on an unknown kind or a shape the kind
-/// cannot take.
+/// cannot take: a quantum kind with fewer than 1 entangling layer, a
+/// classical kind with latent 0, an sq-* kind whose patches do not split
+/// input_dim into power-of-two slices of at least 2 features.
 std::unique_ptr<Autoencoder> build_model(const ModelSpec& spec,
                                          sqvae::Rng& rng, std::string* error);
 
@@ -41,7 +43,9 @@ std::unique_ptr<Autoencoder> build_model(const ModelSpec& spec,
 void add_model_flags(Flags& flags);
 
 /// Reads the flags add_model_flags registered into `spec`; input_dim is
-/// left to the caller. False and `error` on an unknown --backend.
+/// left to the caller. False and `error` on an unknown --backend, on
+/// --layers, --patches or --latent below 1, on --shots below 1 under a
+/// stochastic backend, and on --gate_error outside [0, 1].
 bool spec_from_flags(const Flags& flags, ModelSpec* spec, std::string* error);
 
 }  // namespace sqvae::models

@@ -90,14 +90,16 @@ void QuantumLayer::set_simulation_options(
   backend_ = qsim::SimulationBackend::create(options);
 }
 
-Matrix QuantumLayer::forward_values(const Matrix& input) const {
+Matrix QuantumLayer::measure(const Matrix& input,
+                             std::vector<std::vector<double>>& slots,
+                             std::vector<Statevector>* finals) const {
   assert(input.cols() == static_cast<std::size_t>(config_.input_dim));
   const std::size_t batch = input.rows();
 
   // Assemble per-sample slot vectors and initial states, then advance the
   // whole mini-batch through the configured backend (exact statevector,
   // noise trajectories, or shot sampling — all share the compiled plan).
-  std::vector<std::vector<double>> slots(batch);
+  slots.resize(batch);
   std::vector<Statevector> initials;
   initials.reserve(batch);
   for (std::size_t r = 0; r < batch; ++r) {
@@ -107,8 +109,8 @@ Matrix QuantumLayer::forward_values(const Matrix& input) const {
   }
   const std::vector<std::vector<double>> measured =
       config_.output == QuantumLayerConfig::OutputMode::kExpectationZ
-          ? backend_->expectations_z_batch(executor_, slots, initials)
-          : backend_->probabilities_batch(executor_, slots, initials);
+          ? backend_->expectations_z_batch(executor_, slots, initials, finals)
+          : backend_->probabilities_batch(executor_, slots, initials, finals);
 
   Matrix out(batch, static_cast<std::size_t>(output_dim()));
   for (std::size_t r = 0; r < batch; ++r) {
@@ -118,18 +120,31 @@ Matrix QuantumLayer::forward_values(const Matrix& input) const {
   return out;
 }
 
+Matrix QuantumLayer::forward_values(const Matrix& input) const {
+  std::vector<std::vector<double>> slots;
+  return measure(input, slots, nullptr);
+}
+
 ad::Var QuantumLayer::forward(ad::Tape& tape, ad::Var input) {
   // Copy, not reference: tape.leaf() below appends a node and may
   // reallocate the tape's node storage.
   const Matrix in_value = tape.value(input);
-  assert(in_value.cols() == static_cast<std::size_t>(config_.input_dim));
-
   ad::Var w = tape.leaf(&weights_);
-  Matrix out = forward_values(in_value);
+  // A values-only tape (inference) records the measurement as a constant
+  // and keeps nothing for a backward pass.
+  if (!tape.requires_grad(input) && !tape.requires_grad(w)) {
+    return tape.constant(forward_values(in_value));
+  }
 
-  // The backward closure recomputes batched adjoint sweeps from the *taped*
-  // input and weight values (both immutable for this tape's lifetime).
-  auto backward = [this, input, w](ad::Tape& t, const Matrix& out_grad) {
+  // The forward keeps each row's slot vector and noiseless final state;
+  // the backward walks the plan back from them and runs no forward pass.
+  std::vector<std::vector<double>> slots;
+  std::vector<Statevector> finals;
+  Matrix out = measure(in_value, slots, &finals);
+
+  auto backward = [this, input, w, slots = std::move(slots),
+                   finals = std::move(finals)](ad::Tape& t,
+                                               const Matrix& out_grad) {
     const Matrix& in_v = t.value(input);
     const std::size_t batch = in_v.rows();
     // A constant input (every SQ encoder patch reads a slice of the batch)
@@ -140,23 +155,17 @@ ad::Var QuantumLayer::forward(ad::Tape& tape, ad::Var input) {
     Matrix grad_w(1, weights_.value.size());
 
     // One adjoint sweep per sample, run as a batch through the executor.
-    std::vector<std::vector<double>> slots(batch);
     std::vector<std::vector<double>> diags(batch);
-    std::vector<Statevector> initials;
-    initials.reserve(batch);
     for (std::size_t r = 0; r < batch; ++r) {
-      const std::vector<double> row = in_v.row(r);
       const std::vector<double> cotangent = out_grad.row(r);
       if (config_.output == QuantumLayerConfig::OutputMode::kExpectationZ) {
         diags[r] = qsim::weighted_z_diagonal(config_.num_qubits, cotangent);
       } else {
         diags[r] = qsim::probability_vjp_diagonal(cotangent);
       }
-      slots[r] = slot_values(row);
-      initials.push_back(initial_state(row));
     }
     const std::vector<qsim::AdjointResult> batch_res =
-        executor_.adjoint_batch(slots, initials, diags);
+        executor_.adjoint_batch(slots, finals, diags);
 
     for (std::size_t r = 0; r < batch; ++r) {
       const qsim::AdjointResult& res = batch_res[r];

@@ -6,14 +6,18 @@
 // layer = data embedding (angle or amplitude) -> L strongly entangling
 // layers (Fig. 2(b)) -> measurement (per-qubit <Z> or basis probabilities).
 //
-// Differentiation: the tape sees the layer as one custom op. Its backward
-// runs one adjoint sweep per sample with the *weighted* observable
+// Differentiation: the tape sees the layer as one custom op. Its forward
+// keeps each row's slot vector and noiseless final state (the backend's
+// batch call hands them over, qsim/backend.h): 2^n amplitudes per row,
+// 2 KiB at 7 qubits. Its backward starts each row's adjoint sweep from
+// that state — no second forward pass — with the *weighted* observable
 // diag(sum_q w_q Z_q) (expectation output) or diag(w) (probability
 // output), where w is the upstream cotangent — so the full vector-Jacobian
-// product costs a single sweep regardless of output dimension, and the
-// same sweep yields input gradients: through the angle-embedding rotation
-// slots (angle mode) or through the L2-normalisation Jacobian of the
-// initial state (amplitude mode).
+// product costs a single reverse walk regardless of output dimension, and
+// the same walk yields input gradients: through the angle-embedding
+// rotation slots (angle mode) or through the L2-normalisation Jacobian of
+// the initial state (amplitude mode). On a values-only tape (inference,
+// ad::ValuesOnly) the layer records a constant and keeps no states.
 //
 // Weight convention: a 1 x (3 * num_qubits * layers) row parameter, slots
 // ordered layer-major then qubit-major then (phi, theta, omega) — the
@@ -53,7 +57,8 @@ struct QuantumLayerConfig {
 
   /// Which simulation regime the layer's measurements run under: exact
   /// statevector (default), Monte-Carlo noise trajectories, or finite
-  /// measurement shots. Gradients always use the exact adjoint path; see
+  /// measurement shots. Gradients always use the exact adjoint path from
+  /// the noiseless final states, so they do not depend on the regime; see
   /// qsim/backend.h.
   qsim::SimulationOptions sim{};
 };
@@ -87,6 +92,11 @@ class QuantumLayer {
   void set_simulation_options(const qsim::SimulationOptions& options);
 
  private:
+  /// Runs `input` through the backend: fills `slots` with each row's slot
+  /// vector and, when non-null, `finals` with its noiseless final state.
+  Matrix measure(const Matrix& input, std::vector<std::vector<double>>& slots,
+                 std::vector<qsim::Statevector>* finals) const;
+
   /// Assembles the full slot vector for one sample (angle mode prepends the
   /// input angles to the weights) and the initial state.
   std::vector<double> slot_values(const std::vector<double>& input_row) const;

@@ -1,5 +1,6 @@
 #include "models/trainer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -75,18 +76,27 @@ struct EpochSums {
   std::size_t samples = 0;
 };
 
+/// Parameter elements per reduction chunk. Fixed, so the chunk geometry
+/// depends only on the parameter shapes, never on the team.
+constexpr std::size_t kReduceChunk = 2048;
+
 /// The sharded engine's cross-thread state, made explicit so the lock
 /// discipline (or deliberate absence of one) is auditable in one place.
 ///
 /// This is the *only* state OpenMP worker threads share during a
-/// data-parallel batch, and it is intentionally lock-free: sample s
-/// writes exclusively into slot(s) — its private gradient vector and
-/// LossStats — so writes are disjoint by construction and the fixed-order
-/// reduction below reads them only after the parallel region's implicit
-/// barrier. No GUARDED_BY applies because no mutex exists; adding one
-/// would serialise the engine and change nothing about the result, which
-/// is bit-identical for every thread count already (the determinism
-/// contract pinned by tests/models_training_engine_test.cpp).
+/// data-parallel batch, and it is intentionally lock-free. Two regions
+/// touch it, each with disjoint writes by construction:
+///   * the sample loop: sample s writes exclusively into slot(s) — its
+///     private gradient vector and LossStats;
+///   * the reduction (reduce_into): chunk c of the flattened parameter
+///     list writes exclusively the Parameter::grad elements inside it, and
+///     only reads the sample slots, after the sample loop's implicit
+///     barrier.
+/// No GUARDED_BY applies because no mutex exists; adding one would
+/// serialise the engine and change nothing about the result, which is
+/// bit-identical for every thread count already: each element adds
+/// samples 0, 1, ..., B-1 in order whichever member owns its chunk (the
+/// determinism contract pinned by tests/models_training_engine_test.cpp).
 struct ShardedEpochState {
   ShardedEpochState(std::size_t batch_size, std::size_t num_params)
       : sample_grads(batch_size, std::vector<Matrix>(num_params)),
@@ -96,6 +106,46 @@ struct ShardedEpochState {
   /// may touch it.
   std::vector<Matrix>& grads(std::size_t s) { return sample_grads[s]; }
   LossStats* stats(std::size_t s) { return &sample_stats[s]; }
+
+  /// Sets every params[k]->grad to the mean of the sample gradients:
+  /// element by element, 0 + sample 0 + sample 1 + ... + sample B-1 (empty
+  /// slots add nothing), then one scale by 1/B — the gradient of the
+  /// batch-mean loss. The flattened parameter list splits into
+  /// kReduceChunk-element chunks, run over `split`'s team.
+  void reduce_into(const std::vector<ad::Parameter*>& params,
+                   const thread_budget::Split& split) const {
+    // offsets[k] is parameter k's first element in the flattened list.
+    std::vector<std::size_t> offsets(params.size() + 1, 0);
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      offsets[k + 1] = offsets[k] + params[k]->grad.size();
+    }
+    const std::size_t total = offsets.back();
+    const double inv_batch = 1.0 / static_cast<double>(sample_grads.size());
+    const std::int64_t chunks =
+        static_cast<std::int64_t>((total + kReduceChunk - 1) / kReduceChunk);
+    thread_budget::parallel_for(split, chunks, [&] {
+      return [&](std::int64_t c) {
+        const std::size_t begin = static_cast<std::size_t>(c) * kReduceChunk;
+        const std::size_t end = std::min(begin + kReduceChunk, total);
+        // The parameters overlapping [begin, end), one element range each.
+        std::size_t k = static_cast<std::size_t>(
+            std::upper_bound(offsets.begin(), offsets.end(), begin) -
+            offsets.begin() - 1);
+        for (; k < params.size() && offsets[k] < end; ++k) {
+          const std::size_t lo = std::max(begin, offsets[k]) - offsets[k];
+          const std::size_t hi = std::min(end, offsets[k + 1]) - offsets[k];
+          double* grad = params[k]->grad.data();
+          for (std::size_t e = lo; e < hi; ++e) grad[e] = 0.0;
+          for (const std::vector<Matrix>& sample : sample_grads) {
+            if (sample[k].empty()) continue;
+            const double* g = sample[k].data();
+            for (std::size_t e = lo; e < hi; ++e) grad[e] += g[e];
+          }
+          for (std::size_t e = lo; e < hi; ++e) grad[e] *= inv_batch;
+        }
+      };
+    });
+  }
 
   std::vector<std::vector<Matrix>> sample_grads;
   std::vector<LossStats> sample_stats;
@@ -234,18 +284,9 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
         });
 
         // Fixed-order reduction (sample 0, 1, ..., B-1), then one scale by
-        // 1/B: bit-identical for every thread count, and equal to the
-        // gradient of the batch-mean loss.
-        optimizer.zero_grad();
-        for (std::size_t s = 0; s < batch_size; ++s) {
-          for (std::size_t k = 0; k < params.size(); ++k) {
-            if (!shared.sample_grads[s][k].empty()) {
-              params[k]->grad += shared.sample_grads[s][k];
-            }
-          }
-        }
-        const double inv_batch = 1.0 / static_cast<double>(batch_size);
-        for (ad::Parameter* p : params) p->grad *= inv_batch;
+        // 1/B, on the same team: bit-identical for every thread count, and
+        // equal to the gradient of the batch-mean loss.
+        shared.reduce_into(params, split);
         if (config_.grad_clip > 0.0) {
           clip_gradients(groups, config_.grad_clip);
         }

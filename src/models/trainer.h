@@ -13,13 +13,14 @@
 //     reparameterisation noise comes from stateless streams keyed by
 //     (noise_seed, epoch, dataset row) — Rng::stream — and the per-sample
 //     gradients are reduced in fixed sample order after the parallel
-//     region. Both choices make the math independent of the thread count:
-//     training is bit-identical at 1 and N threads. The team takes the
-//     caller's thread budget (common/thread_budget.h) and each member
-//     runs its samples at budget / team. Stochastic measurement backends
-//     (trajectory/shots) shard the same way: each estimate's noise is
-//     keyed by what its circuit sees (qsim/backend.h), not by a counter,
-//     so it too is independent of the thread count.
+//     region, by the same team over fixed-size element chunks of the
+//     parameter list. Both choices make the math independent of the
+//     thread count: training is bit-identical at 1 and N threads. The
+//     team takes the caller's thread budget (common/thread_budget.h) and
+//     each member runs its samples at budget / team. Stochastic
+//     measurement backends (trajectory/shots) shard the same way: each
+//     estimate's noise is keyed by what its circuit sees (qsim/backend.h),
+//     not by a counter, so it too is independent of the thread count.
 //
 //   * serial (data_parallel = false) — the legacy one-tape-per-batch loop,
 //     kept as the A/B baseline for bench_train_micro; its batch draws its

@@ -21,9 +21,11 @@
 //
 // adjoint_gradient below runs this loop gate by gate over the interpreter
 // (one derivative matrix, a state copy and an inner product per
-// parameterized gate): it is the oracle. The training path,
-// CircuitExecutor::adjoint_batch (executor.h), runs the same algorithm
-// over the compiled plan, one fused step at a time, and is tested against
+// parameterized gate): it is the oracle. The training path splits the
+// loop at psi: the forward pass (CircuitExecutor::run_batch, executor.h)
+// computes psi once for the measurement and keeps it, and
+// CircuitExecutor::adjoint_batch starts from that psi and runs the rest
+// over the compiled plan, one fused step at a time. It is tested against
 // this one at 1e-10.
 #pragma once
 

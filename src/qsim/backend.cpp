@@ -421,9 +421,12 @@ namespace {
 std::vector<std::vector<double>> exact_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, bool probabilities) {
+    const std::vector<Statevector>& initials, bool probabilities,
+    std::vector<Statevector>* finals) {
   assert(params_batch.size() == initials.size());
-  std::vector<Statevector> states = initials;
+  std::vector<Statevector> local;
+  std::vector<Statevector>& states = finals != nullptr ? *finals : local;
+  states = initials;
   exec.run_batch(params_batch, states);
   std::vector<std::vector<double>> out(states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
@@ -437,15 +440,17 @@ std::vector<std::vector<double>> exact_measurements(
 std::vector<std::vector<double>> StatevectorBackend::expectations_z_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) const {
-  return exact_measurements(exec, params_batch, initials, false);
+    const std::vector<Statevector>& initials,
+    std::vector<Statevector>* finals) const {
+  return exact_measurements(exec, params_batch, initials, false, finals);
 }
 
 std::vector<std::vector<double>> StatevectorBackend::probabilities_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) const {
-  return exact_measurements(exec, params_batch, initials, true);
+    const std::vector<Statevector>& initials,
+    std::vector<Statevector>* finals) const {
+  return exact_measurements(exec, params_batch, initials, true, finals);
 }
 
 // ---- TrajectoryBackend ----------------------------------------------------
@@ -461,8 +466,14 @@ std::vector<std::vector<double>> trajectory_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials, const SimulationOptions& options,
-    bool probabilities) {
+    bool probabilities, std::vector<Statevector>* finals) {
   assert(params_batch.size() == initials.size());
+  // The noiseless pass below applies unfused ops, whose state differs from
+  // the plan's in the last bits: final states come from the plan itself.
+  if (finals != nullptr) {
+    *finals = initials;
+    exec.run_batch(params_batch, *finals);
+  }
   const std::size_t row_size =
       probabilities ? (std::size_t{1} << exec.num_qubits())
                     : static_cast<std::size_t>(exec.num_qubits());
@@ -482,17 +493,19 @@ std::vector<std::vector<double>> trajectory_measurements(
 std::vector<std::vector<double>> TrajectoryBackend::expectations_z_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) const {
+    const std::vector<Statevector>& initials,
+    std::vector<Statevector>* finals) const {
   return trajectory_measurements(exec, params_batch, initials, options_,
-                                 false);
+                                 false, finals);
 }
 
 std::vector<std::vector<double>> TrajectoryBackend::probabilities_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) const {
+    const std::vector<Statevector>& initials,
+    std::vector<Statevector>* finals) const {
   return trajectory_measurements(exec, params_batch, initials, options_,
-                                 true);
+                                 true, finals);
 }
 
 TrajectoryEstimate TrajectoryBackend::expectations_z_with_stats(
@@ -537,10 +550,12 @@ std::vector<std::vector<double>> shot_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials, const SimulationOptions& options,
-    bool probabilities) {
+    bool probabilities, std::vector<Statevector>* finals) {
   assert(params_batch.size() == initials.size());
   // Exact states through the fused plan, then finite sampling on top.
-  std::vector<Statevector> states = initials;
+  std::vector<Statevector> local;
+  std::vector<Statevector>& states = finals != nullptr ? *finals : local;
+  states = initials;
   exec.run_batch(params_batch, states);
 
   const std::size_t n = static_cast<std::size_t>(exec.num_qubits());
@@ -580,15 +595,19 @@ std::vector<std::vector<double>> shot_measurements(
 std::vector<std::vector<double>> ShotSamplingBackend::expectations_z_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) const {
-  return shot_measurements(exec, params_batch, initials, options_, false);
+    const std::vector<Statevector>& initials,
+    std::vector<Statevector>* finals) const {
+  return shot_measurements(exec, params_batch, initials, options_, false,
+                           finals);
 }
 
 std::vector<std::vector<double>> ShotSamplingBackend::probabilities_batch(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials) const {
-  return shot_measurements(exec, params_batch, initials, options_, true);
+    const std::vector<Statevector>& initials,
+    std::vector<Statevector>* finals) const {
+  return shot_measurements(exec, params_batch, initials, options_, true,
+                           finals);
 }
 
 }  // namespace sqvae::qsim

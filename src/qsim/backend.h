@@ -55,11 +55,14 @@
 //
 // Gradients are *not* routed through the stochastic backends: QuantumLayer
 // always differentiates the exact statevector path (adjoint sweeps through
-// the fused plan). Training under noise/shots therefore pairs stochastic
-// forward estimates with exact-path gradients — the standard simulator
-// simplification; unbiased stochastic gradient estimators (parameter shift
-// on shot estimates) are available by composing this API, see
-// bench_gradient_variance.cpp.
+// the fused plan), starting from the noiseless final states the forward's
+// batch call hands back through `finals`. Every backend hands back the same
+// states — the fused plan's, bit for bit — so a layer's gradients do not
+// depend on its measurement regime. Training under noise/shots therefore
+// pairs stochastic forward estimates with exact-path gradients — the
+// standard simulator simplification; unbiased stochastic gradient
+// estimators (parameter shift on shot estimates) are available by
+// composing this API, see bench_gradient_variance.cpp.
 #pragma once
 
 #include <cstdint>
@@ -111,17 +114,25 @@ class SimulationBackend {
   /// Batched and OpenMP-parallel like CircuitExecutor::run_batch. Const and
   /// stateless, so any number of threads may execute through one shared
   /// backend concurrently (the trainer's sample team does).
+  ///
+  /// When `finals` is non-null it receives each row's noiseless final
+  /// state U initials[i], exactly as CircuitExecutor::run_batch computes it
+  /// — the input CircuitExecutor::adjoint_batch differentiates from. The
+  /// exact and shot backends hand over the states they measured; the
+  /// trajectory backend runs the fused plan once more on a copy.
   virtual std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const = 0;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const = 0;
 
   /// Per-sample basis-state probability estimates (length 2^n each), like
   /// expectations_z_batch.
   virtual std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const = 0;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const = 0;
 
   // ---- single-sample conveniences (forward to the batch calls) ----------
   std::vector<double> expectations_z(const CircuitExecutor& exec,
@@ -151,11 +162,13 @@ class TrajectoryBackend final : public SimulationBackend {
   std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const override;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const override;
   std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const override;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const override;
 
   /// Like expectations_z for one sample, but also returns per-qubit
   /// standard errors computed from the per-trajectory spread.
@@ -177,11 +190,13 @@ class ShotSamplingBackend final : public SimulationBackend {
   std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const override;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const override;
   std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const override;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const override;
 
  private:
   SimulationOptions options_;
@@ -197,11 +212,13 @@ class StatevectorBackend final : public SimulationBackend {
   std::vector<std::vector<double>> expectations_z_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const override;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const override;
   std::vector<std::vector<double>> probabilities_batch(
       const CircuitExecutor& exec,
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials) const override;
+      const std::vector<Statevector>& initials,
+      std::vector<Statevector>* finals = nullptr) const override;
 };
 
 namespace backend_detail {

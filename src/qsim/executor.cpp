@@ -537,9 +537,9 @@ void CircuitExecutor::reverse_walk(BoundPlan& bound, Statevector& psi,
 
 std::vector<AdjointResult> CircuitExecutor::adjoint_batch(
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
+    const std::vector<Statevector>& finals,
     const std::vector<std::vector<double>>& diags) const {
-  assert(params_batch.size() == initials.size());
+  assert(params_batch.size() == finals.size());
   assert(params_batch.size() == diags.size());
   const std::int64_t batch = static_cast<std::int64_t>(params_batch.size());
   std::vector<AdjointResult> results(static_cast<std::size_t>(batch));
@@ -547,22 +547,18 @@ std::vector<AdjointResult> CircuitExecutor::adjoint_batch(
       kernels::loop_split(std::size_t{1} << num_qubits_), batch, [&] {
         return [&, bound = BoundPlan{}](std::int64_t i) mutable {
           const std::size_t k = static_cast<std::size_t>(i);
-          const std::vector<double>& params = params_batch[k];
           const std::vector<double>& diag = diags[k];
-          assert(initials[k].num_qubits() == num_qubits_);
-          assert(diag.size() == initials[k].dim());
+          assert(finals[k].num_qubits() == num_qubits_);
+          assert(diag.size() == finals[k].dim());
+          bind(params_batch[k], bound);
 
-          // Fused forward pass.
-          Statevector psi = initials[k];
-          bind(params, bound);
-          execute(bound, psi);
-
-          // Value and lambda = diag(O) psi.
+          // Value and lambda = diag(O) psi at the final state.
           AdjointResult& r = results[k];
+          Statevector psi = finals[k];
           Statevector lambda = psi;
           r.value = apply_diag_observable(diag, psi, lambda);
 
-          // Reverse walk over the same plan.
+          // Reverse walk over the plan the forward ran.
           r.param_grads.assign(static_cast<std::size_t>(num_param_slots_),
                                0.0);
           reverse_walk(bound, psi, lambda, r.param_grads);

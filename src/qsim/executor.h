@@ -4,7 +4,7 @@
 // gate, resolving every `Param` and rebuilding every 2x2 matrix per gate per
 // sample. That is the hot path of the paper's hybrid training loop (every
 // mini-batch runs the same circuit once per sample, and the adjoint sweep
-// runs it again). CircuitExecutor removes the per-sample interpretation
+// walks it back). CircuitExecutor removes the per-sample interpretation
 // overhead by compiling the circuit once into a *plan*:
 //
 //   * runs of adjacent single-qubit gates on the same target are fused into
@@ -32,11 +32,13 @@
 // OpenMP-parallel loop over samples (each sample owns its statevector, so
 // the loop is embarrassingly parallel). The adjoint sweep (Jones & Gacon,
 // see adjoint.h) differentiates through the fused plan in both halves:
-// the forward pass runs the plan, and the reverse walk un-applies each
-// plan step from psi and lambda with the dagger of its bound matrix (or
-// the conjugate of its phase table), then takes one cross-matrix
-// reduction M_ab = sum conj(lambda[..a..]) psi[..b..] over the step's
-// target pairs (kernels::KernelTable::cross). Every slot factor's
+// the forward pass is run_batch, whose final states the caller keeps
+// (QuantumLayer keeps them on the tape), and adjoint_batch starts from
+// those states — it runs no forward pass of its own. Its reverse walk
+// un-applies each plan step from psi and lambda with the dagger of its
+// bound matrix (or the conjugate of its phase table), then takes one
+// cross-matrix reduction M_ab = sum conj(lambda[..a..]) psi[..b..] over
+// the step's target pairs (kernels::KernelTable::cross). Every slot factor's
 // gradient follows from M and the factor matrices kept by the bind —
 // a rotation's derivative is (-i/2) P F — so the reverse half evaluates
 // no sin/cos and costs three kernel calls per parameterized fused or
@@ -157,14 +159,18 @@ class CircuitExecutor {
   void bind_ops(const std::vector<double>& params,
                 std::vector<Mat2>& matrices) const;
 
-  /// One adjoint sweep per sample (see adjoint.h): returns the expectation
-  /// value, per-slot gradients, and initial-state cotangent for each sample.
-  /// Both halves walk the fused plan: the reverse walk un-applies one plan
-  /// step at a time and takes every slot gradient of the step from one
-  /// cross-matrix reduction. Bit-identical at every thread budget.
+  /// The reverse half of one adjoint sweep per sample (see adjoint.h):
+  /// returns the expectation value, per-slot gradients, and initial-state
+  /// cotangent for each sample. finals[i] is sample i's *final* state, as
+  /// run_batch(params_batch, ...) left it — the forward pass already ran,
+  /// so this only binds the plan and walks it back, un-applying one plan
+  /// step at a time and taking every slot gradient of the step from one
+  /// cross-matrix reduction. A final state computed any other way (the
+  /// naive interpreter, an unfused pass) gives gradients that differ in the
+  /// last bits. Bit-identical at every thread budget.
   std::vector<AdjointResult> adjoint_batch(
       const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
+      const std::vector<Statevector>& finals,
       const std::vector<std::vector<double>>& diags) const;
 
  private:

@@ -245,6 +245,29 @@ TEST(Tape, ConstantsReceiveNoGradient) {
   EXPECT_GT(std::abs(p.grad(0, 0)), 0.0);
 }
 
+TEST(Tape, ValuesOnlyTapeComputesValuesAndRecordsNoGradient) {
+  // Inference builds the training graph on a values-only tape: leaves come
+  // in as constants, so nothing requires a gradient, and every value keeps
+  // its bits.
+  Rng rng(8);
+  Parameter w(random_matrix(4, 3, rng));
+  Parameter b(random_matrix(1, 3, rng));
+  const Matrix x = random_matrix(2, 4, rng);
+  auto build = [&](Tape& t) {
+    return t.sigmoid(t.add_bias(t.matmul(t.constant(x), t.leaf(&w)),
+                                t.leaf(&b)));
+  };
+  Tape differentiable;
+  const Var y = build(differentiable);
+  Tape values_only{ValuesOnly{}};
+  const Var v = build(values_only);
+  EXPECT_TRUE(differentiable.requires_grad(y));
+  for (int id = 0; id < static_cast<int>(values_only.num_nodes()); ++id) {
+    EXPECT_FALSE(values_only.requires_grad(Var{id})) << "node " << id;
+  }
+  EXPECT_EQ(values_only.value(v), differentiable.value(y));
+}
+
 TEST(Tape, DiamondGraphAccumulatesBothPaths) {
   // loss = mean((x + x)^2): d/dx = 4x/n per element times 2... checked by FD.
   Rng rng(6);

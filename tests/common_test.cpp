@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -123,6 +125,53 @@ TEST(Matrix, TransposeAndIdentity) {
   EXPECT_EQ(t(2, 1), 6);
   const Matrix i3 = Matrix::identity(3);
   EXPECT_EQ(a.matmul(i3.transpose()), a);
+}
+
+/// rows x cols normals where each entry is, with probability `special`,
+/// one of 0.0, -0.0, +inf, -inf and NaN instead.
+Matrix special_matrix(std::size_t rows, std::size_t cols, double special,
+                      Rng& rng) {
+  const double specials[] = {0.0, -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m[i] = rng.uniform() < special ? specials[rng.uniform_int(0, 4)]
+                                   : rng.normal();
+  }
+  return m;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Matrix, TransposedProductsMatchExplicitTransposeBitwise) {
+  // The autodiff matmul backward takes g * B^T and A^T * g through these
+  // kernels, so they must keep matmul's per-element order and zero skips
+  // for every input, special values included.
+  Rng rng(57);
+  struct Shape {
+    std::size_t rows, cols, width;
+    double special;
+  };
+  // The output layer's backward (1x56 against 1024 columns), a batch of 32
+  // and a small case dense with special values.
+  const Shape shapes[] = {
+      {1, 56, 1024, 0.02}, {32, 56, 32, 0.02}, {3, 7, 5, 0.3}};
+  for (const Shape& s : shapes) {
+    const Matrix a = special_matrix(s.rows, s.cols, s.special, rng);
+    const Matrix b = special_matrix(s.width, s.cols, s.special, rng);
+    EXPECT_TRUE(same_bits(a.matmul_transposed(b), a.matmul(b.transpose())))
+        << s.rows << "x" << s.cols << " * (" << s.width << "x" << s.cols
+        << ")^T";
+    const Matrix g = special_matrix(s.rows, s.width, s.special, rng);
+    EXPECT_TRUE(same_bits(a.transposed_matmul(g), a.transpose().matmul(g)))
+        << "(" << s.rows << "x" << s.cols << ")^T * " << s.rows << "x"
+        << s.width;
+  }
 }
 
 TEST(Matrix, NormsAndStats) {

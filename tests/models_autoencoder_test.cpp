@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "models/baseline_quantum.h"
 #include "models/checkpoint.h"
@@ -275,36 +277,146 @@ TEST(Autoencoder, ExplicitNoiseMatchesRngPathBitwise) {
   EXPECT_EQ(rng.normal(), untouched.normal());
 }
 
+TEST(Autoencoder, ValuesOnlyInferenceMatchesDifferentiableTapeBitwise) {
+  // reconstruct, encode_values and decode_values run on values-only tapes,
+  // which keep no backward state (a QuantumLayer holds no final states).
+  // Every class must answer with the bits of a differentiable tape.
+  Rng init(17);
+  ScalableQuantumConfig sq;
+  sq.input_dim = 16;
+  sq.patches = 2;
+  sq.entangling_layers = 1;
+  std::vector<std::unique_ptr<Autoencoder>> zoo;
+  zoo.push_back(
+      std::make_unique<ClassicalAe>(ClassicalConfig{16, {8, 4}, 3}, init));
+  zoo.push_back(
+      std::make_unique<ClassicalVae>(ClassicalConfig{16, {8, 4}, 3}, init));
+  zoo.push_back(make_fbq_ae(16, 1, init));
+  zoo.push_back(make_fbq_vae(16, 1, init));
+  zoo.push_back(make_hbq_ae(16, 1, init));
+  zoo.push_back(make_hbq_vae(16, 1, init));
+  zoo.push_back(make_sq_ae(sq, init));
+  zoo.push_back(make_sq_vae(sq, init));
+  auto same_bits = [](const Matrix& a, const Matrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t m = 0; m < zoo.size(); ++m) {
+    Autoencoder& model = *zoo[m];
+    const Matrix batch = random_batch(3, 16, init, 0, 1);
+    const Matrix noise = model.is_generative()
+                             ? normals(3, model.latent_dim(), init)
+                             : Matrix();
+    ad::Tape tape;
+    const ForwardResult fwd =
+        model.forward(tape, tape.constant(batch), noise);
+    EXPECT_TRUE(same_bits(model.reconstruct(batch, noise),
+                          tape.value(fwd.reconstruction)))
+        << "model " << m;
+
+    ad::Tape encode_tape;
+    const Var z = model.encode_mean(encode_tape, encode_tape.constant(batch));
+    EXPECT_TRUE(same_bits(model.encode_values(batch), encode_tape.value(z)))
+        << "model " << m;
+
+    const Matrix latent = random_batch(3, model.latent_dim(), init, -1, 1);
+    ad::Tape decode_tape;
+    const Var out = model.decode(decode_tape, decode_tape.constant(latent));
+    EXPECT_TRUE(same_bits(model.decode_values(latent), decode_tape.value(out)))
+        << "model " << m;
+  }
+}
+
 TEST(ModelSpec, FactoryRejectsShapesItsKindCannotTake) {
   struct Case {
     const char* kind;
     std::size_t input_dim;
     int patches;
+    int layers;
+    std::size_t latent;
     const char* error;
   };
   const Case cases[] = {
-      {"nope", 64, 2,
+      {"nope", 64, 2, 3, 6,
        "unknown model kind: nope (classical-ae, classical-vae, fbq-ae, "
        "fbq-vae, hbq-ae, hbq-vae, sq-ae, sq-vae)"},
-      {"fbq-ae", 48, 2,
+      {"fbq-ae", 48, 2, 3, 6,
        "baseline quantum models need a power-of-two input_dim"},
-      {"hbq-vae", 0, 2,
+      {"hbq-vae", 0, 2, 3, 6,
        "baseline quantum models need a power-of-two input_dim"},
-      {"sq-ae", 64, 3, "sq-* models need input_dim divisible by patches"},
-      {"sq-vae", 64, 0, "sq-* models need input_dim divisible by patches"},
-      {"sq-ae", 64, -2, "sq-* models need input_dim divisible by patches"},
-      {"sq-vae", 96, 2, "sq-* models need a power-of-two input_dim / patches"},
+      {"sq-ae", 64, 3, 3, 6, "sq-* models need input_dim divisible by patches"},
+      {"sq-vae", 64, 0, 3, 6,
+       "sq-* models need input_dim divisible by patches"},
+      {"sq-ae", 64, -2, 3, 6,
+       "sq-* models need input_dim divisible by patches"},
+      {"sq-vae", 96, 2, 3, 6,
+       "sq-* models need a power-of-two input_dim / patches"},
+      {"sq-ae", 64, 64, 3, 6,
+       "sq-* models need input_dim / patches >= 2 (one qubit per patch)"},
+      {"sq-vae", 0, 2, 3, 6,
+       "sq-* models need input_dim / patches >= 2 (one qubit per patch)"},
+      {"hbq-vae", 64, 2, -1, 6,
+       "quantum models need at least 1 entangling layer"},
+      {"fbq-ae", 64, 2, 0, 6,
+       "quantum models need at least 1 entangling layer"},
+      {"sq-vae", 64, 2, 0, 6,
+       "quantum models need at least 1 entangling layer"},
+      {"classical-ae", 64, 2, 3, 0,
+       "classical models need a latent dimension >= 1"},
+      {"classical-vae", 1024, 2, 3, 0,
+       "classical models need a latent dimension >= 1"},
   };
   for (const Case& c : cases) {
     ModelSpec spec;
     spec.kind = c.kind;
     spec.input_dim = c.input_dim;
     spec.patches = c.patches;
+    spec.entangling_layers = c.layers;
+    spec.latent = c.latent;
     Rng rng(1);
     std::string error;
     EXPECT_EQ(build_model(spec, rng, &error), nullptr) << c.kind;
     EXPECT_EQ(error, c.error) << c.kind << " " << c.input_dim;
   }
+}
+
+TEST(ModelSpec, FlagsRejectValuesThatCannotBuildOrTrain) {
+  struct Case {
+    std::vector<std::string> args;
+    const char* error;
+  };
+  const Case cases[] = {
+      {{"--layers=-1"}, "--layers must be >= 1"},
+      {{"--patches=0"}, "--patches must be >= 1"},
+      {{"--latent=-3"}, "--latent must be >= 1"},
+      {{"--backend=shots", "--shots=0"},
+       "--shots must be >= 1 under --backend=shots"},
+      {{"--backend=trajectory", "--shots=-1"},
+       "--shots must be >= 1 under --backend=trajectory"},
+      {{"--gate_error=1.5"}, "--gate_error must lie in [0, 1]"},
+      {{"--gate_error=-0.01"}, "--gate_error must lie in [0, 1]"},
+      {{"--backend=exact"},
+       "unknown --backend=exact (statevector, trajectory, shots)"},
+  };
+  auto parse = [](const std::vector<std::string>& args, ModelSpec* spec,
+                  std::string* error) {
+    Flags flags;
+    add_model_flags(flags);
+    std::vector<const char*> argv = {"prog"};
+    for (const std::string& a : args) argv.push_back(a.c_str());
+    EXPECT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+    return spec_from_flags(flags, spec, error);
+  };
+  for (const Case& c : cases) {
+    ModelSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse(c.args, &spec, &error)) << c.error;
+    EXPECT_EQ(error, c.error);
+  }
+  // The statevector backend ignores --shots, so any value passes.
+  ModelSpec spec;
+  std::string error;
+  EXPECT_TRUE(parse({"--shots=0"}, &spec, &error)) << error;
 }
 
 TEST(ModelSpec, FactoryDrawsTheWeightsOfTheDirectConstructors) {

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "autodiff/tape.h"
 #include "common/rng.h"
+#include "qsim/backend.h"
 
 namespace sqvae::models {
 namespace {
@@ -257,6 +259,76 @@ TEST(QuantumLayerGradients, ConstantInputLeavesWeightGradientsBitIdentical) {
               0)
         << (amplitude ? "amplitude" : "angle");
   }
+}
+
+TEST(QuantumLayerGradients, EveryBackendGivesTheExactGradientBitwise) {
+  // The backward walks the plan back from the noiseless final state the
+  // forward's backend call handed over. With the cotangent c fixed by the
+  // loss sum(y * c), weight and input gradients must not move by a bit
+  // between measurement regimes: a trajectory backend that handed back
+  // its unfused noiseless pass would differ in the last bits.
+  qsim::SimulationOptions trajectory;
+  trajectory.backend = qsim::BackendKind::kTrajectory;
+  trajectory.noise.gate_error = 0.05;
+  trajectory.shots = 16;
+  qsim::SimulationOptions shots;
+  shots.backend = qsim::BackendKind::kShotSampling;
+  shots.shots = 64;
+  for (const bool amplitude : {true, false}) {
+    QuantumLayerConfig config =
+        amplitude ? amplitude_config(4, 2, 16) : angle_config(4, 2);
+    std::vector<Matrix> weight_grads;
+    std::vector<Matrix> input_grads;
+    for (const qsim::SimulationOptions& sim :
+         {qsim::SimulationOptions{}, trajectory, shots}) {
+      config.sim = sim;
+      Rng rng(310);  // the same weights, inputs and cotangent every time
+      QuantumLayer layer(config, rng);
+      Parameter input(random_matrix(
+          3, static_cast<std::size_t>(config.input_dim), rng, 0.1, 1.2));
+      const Matrix c = random_matrix(
+          3, static_cast<std::size_t>(layer.output_dim()), rng, -1.0, 1.0);
+      Tape t;
+      const Var y = layer.forward(t, t.leaf(&input));
+      double value = 0.0;
+      for (std::size_t i = 0; i < c.size(); ++i) value += t.value(y)[i] * c[i];
+      const Var loss = t.custom(
+          {y}, Matrix(1, 1, value), [y, c](Tape& tape, const Matrix& g) {
+            tape.accum_grad(y, c * g(0, 0));
+          });
+      t.backward(loss);
+      weight_grads.push_back(layer.weights().grad);
+      input_grads.push_back(input.grad);
+    }
+    for (std::size_t b = 1; b < weight_grads.size(); ++b) {
+      ASSERT_EQ(weight_grads[b].size(), weight_grads[0].size());
+      EXPECT_EQ(std::memcmp(weight_grads[b].data(), weight_grads[0].data(),
+                            weight_grads[0].size() * sizeof(double)),
+                0)
+          << (amplitude ? "amplitude" : "angle") << " backend " << b;
+      ASSERT_EQ(input_grads[b].size(), input_grads[0].size());
+      EXPECT_EQ(std::memcmp(input_grads[b].data(), input_grads[0].data(),
+                            input_grads[0].size() * sizeof(double)),
+                0)
+          << (amplitude ? "amplitude" : "angle") << " backend " << b;
+    }
+  }
+}
+
+TEST(QuantumLayer, ValuesOnlyTapeRecordsAConstantWithTheSameBits) {
+  Rng rng(320);
+  QuantumLayer layer(amplitude_config(4, 2, 16), rng);
+  const Matrix x = random_matrix(3, 16, rng, 0.1, 1.2);
+  Tape differentiable;
+  const Var y = layer.forward(differentiable, differentiable.constant(x));
+  EXPECT_TRUE(differentiable.requires_grad(y));
+  Tape values_only{ad::ValuesOnly{}};
+  const Var v = layer.forward(values_only, values_only.constant(x));
+  EXPECT_FALSE(values_only.requires_grad(v));
+  const Matrix& a = differentiable.value(y);
+  const Matrix& b = values_only.value(v);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
 TEST(QuantumLayer, WeightsInitializedInPiRange) {

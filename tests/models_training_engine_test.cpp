@@ -103,55 +103,87 @@ TEST(TrainerEngine, SerialEpochStatsWeightedBySampleCount) {
                    mse_sum / static_cast<double>(samples));
 }
 
+using ModelFactory = std::function<std::unique_ptr<Autoencoder>(Rng&)>;
+
+/// Trains a fresh model from `make` for 3 epochs at a team of `threads`;
+/// returns its parameters as checkpoint text and fills `history`.
+std::string train_sharded(const ModelFactory& make, const Matrix& data,
+                          const std::optional<qsim::SimulationOptions>& sim,
+                          int threads, std::vector<EpochStats>* history) {
+  Rng model_rng(32);
+  auto model = make(model_rng);
+  TrainConfig config;
+  config.epochs = 3;
+  config.batch_size = 8;
+  config.quantum_lr = 0.03;
+  config.classical_lr = 0.01;
+  config.num_threads = threads;
+  config.sim = sim;
+  Trainer trainer(*model, config);
+  Rng fit_rng(33);
+  *history = trainer.fit(data, &data, fit_rng);
+  // The model now measures through `sim`; noisy models keep the team.
+  EXPECT_EQ(Trainer::resolve_threads(*model, config),
+            thread_budget::kOpenMP ? threads : 1);
+  return checkpoint_to_text(*model);
+}
+
+/// Trains at teams of 1, 3 and 4 and expects the same parameters and
+/// epoch statistics, bit for bit.
+void expect_bit_identical_across_teams(
+    const ModelFactory& make, const Matrix& data,
+    const std::optional<qsim::SimulationOptions>& sim) {
+  std::vector<EpochStats> h1;
+  const std::string params1 = train_sharded(make, data, sim, 1, &h1);
+  for (const int threads : {3, 4}) {
+    SCOPED_TRACE(threads);
+    std::vector<EpochStats> h;
+    EXPECT_EQ(train_sharded(make, data, sim, threads, &h), params1);
+    ASSERT_EQ(h1.size(), h.size());
+    for (std::size_t e = 0; e < h1.size(); ++e) {
+      EXPECT_EQ(h1[e].train_loss, h[e].train_loss) << e;
+      EXPECT_EQ(h1[e].train_mse, h[e].train_mse) << e;
+      EXPECT_EQ(h1[e].train_kl, h[e].train_kl) << e;
+      EXPECT_EQ(h1[e].test_mse, h[e].test_mse) << e;
+    }
+  }
+}
+
 TEST(TrainerEngine, ShardedBitIdenticalAcrossThreadCounts) {
   // The engine's contract: shard decomposition, per-sample noise streams,
   // and fixed-order reduction are all independent of the thread count, so
   // training is bit-identical at 1 and N threads — stochastic measurement
   // backends included, whose noise is keyed by each circuit's inputs.
   const Matrix data = digits_matrix(24, 31);
+  const auto sq_vae = [](Rng& rng) {
+    ScalableQuantumConfig c;
+    c.input_dim = 64;
+    c.patches = 2;
+    c.entangling_layers = 2;
+    return make_sq_vae(c, rng);
+  };
   const std::optional<qsim::SimulationOptions> sims[] = {
       std::nullopt, trajectory_sim(), shot_sim()};
   for (const auto& sim : sims) {
     SCOPED_TRACE(sim ? static_cast<int>(sim->backend) : -1);
-    const auto run = [&data, &sim](int threads,
-                                   std::vector<EpochStats>* history) {
-      Rng model_rng(32);
-      ScalableQuantumConfig c;
-      c.input_dim = 64;
-      c.patches = 2;
-      c.entangling_layers = 2;
-      auto model = make_sq_vae(c, model_rng);
-      TrainConfig config;
-      config.epochs = 3;
-      config.batch_size = 8;
-      config.quantum_lr = 0.03;
-      config.classical_lr = 0.01;
-      config.num_threads = threads;
-      config.sim = sim;
-      Trainer trainer(*model, config);
-      Rng fit_rng(33);
-      *history = trainer.fit(data, &data, fit_rng);
-      // The model now measures through `sim`; noisy models keep the team.
-      EXPECT_EQ(Trainer::resolve_threads(*model, config),
-                thread_budget::kOpenMP ? threads : 1);
-      return checkpoint_to_text(*model);
-    };
-
-    std::vector<EpochStats> h1, h3;
-    const std::string params1 = run(1, &h1);
-    const std::string params3 = run(3, &h3);
-    EXPECT_EQ(params1, params3);
-    ASSERT_EQ(h1.size(), h3.size());
-    for (std::size_t e = 0; e < h1.size(); ++e) {
-      EXPECT_EQ(h1[e].train_loss, h3[e].train_loss) << e;
-      EXPECT_EQ(h1[e].train_mse, h3[e].train_mse) << e;
-      EXPECT_EQ(h1[e].train_kl, h3[e].train_kl) << e;
-      EXPECT_EQ(h1[e].test_mse, h3[e].test_mse) << e;
-    }
+    expect_bit_identical_across_teams(sq_vae, data, sim);
   }
-}
 
-using ModelFactory = std::function<std::unique_ptr<Autoencoder>(Rng&)>;
+  // The reduction splits the flattened parameter list into fixed element
+  // chunks; the 56 x 1024 output layer of a ligand-sized sq-ae spans many
+  // of them, split across members at every team size.
+  Rng data_rng(34);
+  Matrix wide(12, 1024);
+  for (std::size_t i = 0; i < wide.size(); ++i) wide[i] = data_rng.uniform();
+  const auto sq_ae_1024 = [](Rng& rng) {
+    ScalableQuantumConfig c;
+    c.input_dim = 1024;
+    c.patches = 8;
+    c.entangling_layers = 1;
+    return make_sq_ae(c, rng);
+  };
+  expect_bit_identical_across_teams(sq_ae_1024, wide, std::nullopt);
+}
 
 std::unique_ptr<Autoencoder> classical_vae(Rng& rng) {
   return std::make_unique<ClassicalVae>(classical_config_64(6), rng);

@@ -290,14 +290,12 @@ TEST(BlockedExecutor, RunBatchAndAdjointMatchUnblockedPath) {
   std::vector<std::vector<double>> params_batch;
   std::vector<Statevector> blocked_states;
   std::vector<Statevector> plain_states;
-  std::vector<Statevector> initials;
   std::vector<std::vector<double>> diags;
   for (int i = 0; i < batch; ++i) {
     params_batch.push_back(random_params(c.num_param_slots(), rng));
     Statevector s = random_state(qubits, rng);
     blocked_states.push_back(s);
-    plain_states.push_back(s);
-    initials.push_back(std::move(s));
+    plain_states.push_back(std::move(s));
     std::vector<double> d(std::size_t{1} << qubits);
     for (double& v : d) v = rng.uniform(-1.0, 1.0);
     diags.push_back(std::move(d));
@@ -315,8 +313,9 @@ TEST(BlockedExecutor, RunBatchAndAdjointMatchUnblockedPath) {
     expect_states_close(plain_states[i], blocked_states[i]);
   }
 
-  const auto want = plain.adjoint_batch(params_batch, initials, diags);
-  const auto got = blocked.adjoint_batch(params_batch, initials, diags);
+  // Each side walks back from the final states its own forward produced.
+  const auto want = plain.adjoint_batch(params_batch, plain_states, diags);
+  const auto got = blocked.adjoint_batch(params_batch, blocked_states, diags);
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(want[i].value, got[i].value, kTol);

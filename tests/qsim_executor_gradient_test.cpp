@@ -1,7 +1,8 @@
 // Gradient cross-check for the executor-backed training path: the adjoint
-// sweep run through CircuitExecutor::adjoint_batch (fused forward + exact
-// reverse) must agree with the parameter-shift oracle — which shares no code
-// with the executor beyond the raw statevector kernels — on the exact
+// sweep run through CircuitExecutor::run_batch then adjoint_batch (fused
+// forward, then the exact reverse walk from its final state) must agree
+// with the parameter-shift oracle — which shares no code with the
+// executor beyond the raw statevector kernels — on the exact
 // circuits QuantumLayer trains: angle/amplitude embedding × expectation/
 // probability measurement, for every parameter slot including the embedding
 // slots that carry input gradients.
@@ -85,8 +86,10 @@ TEST(ExecutorGradientCrossCheck, AdjointBatchAgreesWithParameterShift) {
         diag = qsim::probability_vjp_diagonal(cotangent);
       }
 
-      const auto results = layer.executor().adjoint_batch(
-          {slots}, std::vector<Statevector>{initial}, {diag});
+      std::vector<Statevector> finals{initial};
+      layer.executor().run_batch({slots}, finals);
+      const auto results =
+          layer.executor().adjoint_batch({slots}, finals, {diag});
       ASSERT_EQ(results.size(), 1u);
       const std::vector<double>& adjoint_grads = results[0].param_grads;
 
@@ -146,8 +149,10 @@ TEST(ExecutorGradientCrossCheck, ExecutorValueMatchesMeasuredExpectation) {
             ? qsim::weighted_z_diagonal(3, cotangent)
             : qsim::probability_vjp_diagonal(cotangent);
 
-    const auto results = layer.executor().adjoint_batch(
-        {slots}, std::vector<Statevector>{initial}, {diag});
+    std::vector<Statevector> finals{initial};
+    layer.executor().run_batch({slots}, finals);
+    const auto results =
+        layer.executor().adjoint_batch({slots}, finals, {diag});
     EXPECT_NEAR(results[0].value, expected, 1e-9) << mode.name;
   }
 }

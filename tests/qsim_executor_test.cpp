@@ -213,6 +213,14 @@ TEST(CircuitExecutor, RunBatchMatchesPerSampleRuns) {
 /// A random adjoint workload for `c`: per-sample slot values, initial
 /// states and cotangent-weighted <Z> diagonals.
 struct AdjointCase {
+  /// The final states adjoint_batch starts from: run_batch over copies of
+  /// the initial states.
+  std::vector<Statevector> finals(const CircuitExecutor& exec) const {
+    std::vector<Statevector> states = initials;
+    exec.run_batch(params, states);
+    return states;
+  }
+
   std::vector<std::vector<double>> params;
   std::vector<Statevector> initials;
   std::vector<std::vector<double>> diags;
@@ -229,15 +237,15 @@ struct AdjointCase {
   }
 };
 
-/// adjoint_batch (fused forward, plan reverse walk) against the
-/// interpreter's per-gate adjoint_gradient: the value within kTol, every
-/// slot gradient and the initial-state cotangent within 1e-10.
+/// run_batch then adjoint_batch (fused forward, plan reverse walk) against
+/// the interpreter's per-gate adjoint_gradient: the value within kTol,
+/// every slot gradient and the initial-state cotangent within 1e-10.
 void expect_adjoint_matches_oracle(const Circuit& c,
                                    const ExecutorOptions& options,
                                    std::size_t batch, Rng& rng) {
   const CircuitExecutor exec(c, options);
   const AdjointCase w(c, batch, rng);
-  const auto batched = exec.adjoint_batch(w.params, w.initials, w.diags);
+  const auto batched = exec.adjoint_batch(w.params, w.finals(exec), w.diags);
   ASSERT_EQ(batched.size(), batch);
   for (std::size_t i = 0; i < batch; ++i) {
     const AdjointResult ref =
@@ -403,12 +411,12 @@ TEST(CircuitExecutor, AdjointBatchBitIdenticalAtBudgetsOneAndFour) {
   std::vector<AdjointResult> one;
   {
     const thread_budget::Scope budget(1);
-    one = exec.adjoint_batch(w.params, w.initials, w.diags);
+    one = exec.adjoint_batch(w.params, w.finals(exec), w.diags);
   }
   std::vector<AdjointResult> four;
   {
     const thread_budget::Scope budget(4);
-    four = exec.adjoint_batch(w.params, w.initials, w.diags);
+    four = exec.adjoint_batch(w.params, w.finals(exec), w.diags);
   }
   for (std::size_t i = 0; i < batch; ++i) {
     EXPECT_EQ(std::memcmp(&one[i].value, &four[i].value, sizeof(double)), 0);

@@ -10,11 +10,11 @@
 // circuits (6-9 qubits) remain trainable where a holistic wide circuit
 // would flatten.
 //
-// Runs on the unified backend layer: the exact column batches all draws
-// through CircuitExecutor::run_batch and adjoint_batch (gate-fused forward
-// passes, then reverse walks from their final states, OpenMP over draws),
-// and a finite-shot column estimates the same gradient
-// with the parameter-shift rule on ShotSamplingBackend expectations —
+// Runs on the compiled plan: the exact column batches all draws through
+// CircuitExecutor::run_batch and adjoint_batch (gate-fused forward passes,
+// then reverse walks from their final states, OpenMP over draws), and a
+// finite-shot column estimates the same gradient with the parameter-shift
+// rule on shot-sampled expectations (qsim::measure_batch) —
 // showing how much measurement noise inflates the gradient variance on
 // hardware-realistic estimates (Var_shot ~ Var_exact + 1/(2*shots)).
 #include <cmath>
@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
 
       // Finite-shot gradient of the same slot: parameter-shift rule on
       // shot-sampled expectations, dE/dtheta = (E(+pi/2) - E(-pi/2)) / 2.
-      // Both shifts of every draw go through one batched call, so the
-      // backend parallelises them like the exact column's adjoint batch.
+      // Both shifts of every draw go through one batched call, so
+      // measure_batch parallelises them like the exact column's adjoint
+      // batch.
       std::vector<std::vector<double>> shifted;
       shifted.reserve(2 * params_batch.size());
       for (const auto& params : params_batch) {
@@ -120,11 +121,11 @@ int main(int argc, char** argv) {
           shifted.back()[tracked] += shift;
         }
       }
-      ShotSamplingBackend backend(shot_options);
       const std::vector<Statevector> shift_initials(shifted.size(),
                                                     Statevector(qubits));
-      const auto shifted_z =
-          backend.expectations_z_batch(exec, shifted, shift_initials);
+      const auto shifted_z = measure_batch(shot_options, exec, shifted,
+                                           shift_initials,
+                                           Readout::kExpectationZ);
       std::vector<double> shot_grads;
       shot_grads.reserve(params_batch.size());
       for (std::size_t d = 0; d < params_batch.size(); ++d) {

@@ -396,10 +396,11 @@ AdjointAbRow run_adjoint_ab(int qubits, int layers, int batch, int reps) {
   return row;
 }
 
-// --- Trajectory backend vs exact density matrix: the noisy-regime A/B. ---
+// --- Trajectory regime vs exact density matrix: the noisy-regime A/B. ---
 //
 // Same estimate both ways — per-qubit <Z> of a noisy entangling circuit —
-// once as a TrajectoryBackend Monte-Carlo run (O(trajectories * 2^n)) and
+// once as a trajectory Monte-Carlo run through qsim::measure_from_zero
+// (O(trajectories * 2^n)) and
 // once through the exact density-matrix channel (O(4^n) per gate). The
 // trajectory side is the production path for noisy training; the density
 // matrix is the correctness oracle it must outrun.
@@ -441,9 +442,8 @@ TrajAbRow run_trajectory_ab(int qubits, int layers, double gate_error,
   std::vector<double> exact_z(static_cast<std::size_t>(qubits));
   for (int r = 0; r < reps; ++r) {
     Stopwatch watch;
-    // Fresh backend per rep: every rep times the identical seeded run.
-    TrajectoryBackend backend(options);
-    traj_z = backend.expectations_z(exec, params);
+    // Every rep times the identical seeded run.
+    traj_z = measure_from_zero(options, exec, params, Readout::kExpectationZ);
     traj_ms.push_back(watch.millis());
 
     watch.reset();
@@ -735,7 +735,7 @@ void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
                "    ]\n"
                "  },\n"
                "  \"trajectory_ab\": {\n"
-               "    \"description\": \"TrajectoryBackend Monte-Carlo noisy"
+               "    \"description\": \"Trajectory-regime Monte-Carlo noisy"
                " <Z> estimate vs exact DensityMatrix channel\",\n"
                "    \"rows\": [\n");
   for (std::size_t i = 0; i < traj_rows.size(); ++i) {

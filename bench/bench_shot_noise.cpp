@@ -1,18 +1,19 @@
 // Hardware-realism ablation (extension beyond the paper's noiseless
 // simulation): how finite measurement shots and gate-level Pauli noise
-// would distort the quantities the SQ-VAE trains on. Runs entirely on the
-// unified simulation-backend layer (qsim/backend.h):
+// would distort the quantities the SQ-VAE trains on. Every estimate is one
+// qsim::measure_from_zero call under a SimulationOptions value
+// (qsim/backend.h):
 //
 //  (1) shot scaling: RMS error of the shot-estimated per-qubit <Z> vector
 //      of one encoder patch circuit vs number of shots (expected 1/sqrt(N)),
-//      via ShotSamplingBackend;
+//      under BackendKind::kShotSampling;
 //  (2) noise damping: averaged <Z> magnitude vs per-gate Pauli error rate
 //      and circuit depth — quantifying how many entangling layers a given
-//      error rate can support before the latent signal depolarizes, via
-//      TrajectoryBackend;
+//      error rate can support before the latent signal depolarizes, under
+//      BackendKind::kTrajectory;
 //  (3) trajectory-vs-density cross-check: the Monte-Carlo estimate against
 //      the exact channel, with wall-clock times — the memory/accuracy
-//      trade-off the backend layer exists to navigate.
+//      trade-off the trajectory regime exists to navigate.
 #include <cmath>
 
 #include "bench_common.h"
@@ -66,10 +67,10 @@ int main(int argc, char** argv) {
     double rms_sum = 0.0;
     const int reps = 10;
     for (int r = 0; r < reps; ++r) {
-      const ShotSamplingBackend backend(make_options(
-          BackendKind::kShotSampling, shots, 0.0,
-          seed + static_cast<std::uint64_t>(r)));
-      const auto est = backend.expectations_z(exec, params);
+      const auto est = measure_from_zero(
+          make_options(BackendKind::kShotSampling, shots, 0.0,
+                       seed + static_cast<std::uint64_t>(r)),
+          exec, params, Readout::kExpectationZ);
       double se = 0.0;
       for (std::size_t q = 0; q < est.size(); ++q) {
         const double d = est[q] - exact[q];
@@ -96,9 +97,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {std::to_string(layers)};
     for (double p : {0.0, 0.001, 0.005, 0.02}) {
       const std::size_t trajectories = p == 0.0 ? 1 : 400;
-      TrajectoryBackend backend(
-          make_options(BackendKind::kTrajectory, trajectories, p, seed));
-      const auto e = backend.expectations_z(layer_exec, w);
+      const auto e = measure_from_zero(
+          make_options(BackendKind::kTrajectory, trajectories, p, seed),
+          layer_exec, w, Readout::kExpectationZ);
       double mag = 0.0;
       for (double v : e) mag += std::abs(v);
       row.push_back(Table::fmt(mag / static_cast<double>(e.size()), 4));
@@ -109,17 +110,18 @@ int main(int argc, char** argv) {
       "Noise damping: mean |<Z>| per qubit vs depth and per-gate error rate",
       noise_table, flags);
 
-  // Trajectory backend vs the exact density-matrix channel: agreement and
+  // Trajectory regime vs the exact density-matrix channel: agreement and
   // wall-clock. The density matrix costs O(4^n) per gate and is capped at
   // 12 qubits; trajectories cost O(shots * 2^n) and keep scaling.
   Table xcheck_table({"gate error", "max |traj - exact|", "3/sqrt(M) bound",
                       "trajectory ms", "density ms", "speedup"});
   const std::size_t m = 1000;
   for (double p : {0.001, 0.005, 0.02}) {
-    TrajectoryBackend backend(
-        make_options(BackendKind::kTrajectory, m, p, seed));
+    const SimulationOptions options =
+        make_options(BackendKind::kTrajectory, m, p, seed);
     Stopwatch watch;
-    const auto traj = backend.expectations_z(exec, params);
+    const auto traj =
+        measure_from_zero(options, exec, params, Readout::kExpectationZ);
     const double traj_ms = watch.millis();
 
     watch.reset();

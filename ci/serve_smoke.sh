@@ -3,12 +3,13 @@
 # digits scenario, checkpoints, pipes requests through the real
 # micro-batched sqvae_serve server (once from a file, once from a client
 # that writes 500 requests before reading, then the same 500 under
-# trajectory noise, then an SQ-VAE on all four endpoints), and diffs the
-# output byte-for-byte against --reference mode — which answers the same
-# requests through in-process Autoencoder calls (serve::execute_single) with no queue, no
-# workers, no batching. Identical bytes = the serving stack reproduced the
-# model's own output exactly, which is the subsystem's determinism
-# contract end to end (train -> checkpoint -> load_params_only -> serve).
+# trajectory noise and under finite shots, then an SQ-VAE on all four
+# endpoints), and diffs the output byte-for-byte against --reference mode —
+# which answers the same requests through in-process Autoencoder calls
+# (serve::execute_single) with no queue, no workers, no batching.
+# Identical bytes = the serving stack reproduced the model's own output
+# exactly, which is the subsystem's determinism contract end to end
+# (train -> checkpoint -> load_params_only -> serve).
 #
 # Usage: ci/serve_smoke.sh [BUILD_DIR]
 set -eu
@@ -94,23 +95,26 @@ diff -q "$WORK/piped.out" "$WORK/piped.reference.out"
 echo "piped run: $(wc -l < "$WORK/piped.out") responses," \
   "$(wc -c < "$WORK/piped.out") bytes, byte-identical to the reference"
 
-# The same 500 lines under trajectory noise. Measurement noise is keyed by
-# each row's circuit inputs, so noisy requests coalesce like exact ones and
-# the served bytes must still equal the reference; they must also differ
-# from the exact answers, or the noise never ran.
-echo "== serve smoke: 500 requests under trajectory noise =="
-NOISE_FLAGS="--backend=trajectory --gate_error=0.05 --shots=32"
-"$BUILD/sqvae_serve" $SERVE_FLAGS $NOISE_FLAGS --max_batch=8 --threads=2 \
-  < "$WORK/piped.jsonl" > "$WORK/noisy.out"
-"$BUILD/sqvae_serve" $SERVE_FLAGS $NOISE_FLAGS --reference \
-  < "$WORK/piped.jsonl" > "$WORK/noisy.reference.out"
-diff -q "$WORK/noisy.out" "$WORK/noisy.reference.out"
-if cmp -s "$WORK/noisy.out" "$WORK/piped.out"; then
-  echo "noisy run: output equals the exact output" >&2
-  exit 1
-fi
-echo "noisy run: $(wc -l < "$WORK/noisy.out") responses, byte-identical" \
-  "to the reference and different from the exact output"
+# The same 500 lines under trajectory noise, then under finite shots.
+# Measurement noise is keyed by each row's circuit inputs, so noisy
+# requests coalesce like exact ones and each regime's served bytes must
+# still equal its reference; they must also differ from the exact answers,
+# or the noise never ran.
+for NOISE_FLAGS in "--backend=trajectory --gate_error=0.05 --shots=32" \
+                   "--backend=shots --shots=64"; do
+  echo "== serve smoke: 500 requests under $NOISE_FLAGS =="
+  "$BUILD/sqvae_serve" $SERVE_FLAGS $NOISE_FLAGS --max_batch=8 --threads=2 \
+    < "$WORK/piped.jsonl" > "$WORK/noisy.out"
+  "$BUILD/sqvae_serve" $SERVE_FLAGS $NOISE_FLAGS --reference \
+    < "$WORK/piped.jsonl" > "$WORK/noisy.reference.out"
+  diff -q "$WORK/noisy.out" "$WORK/noisy.reference.out"
+  if cmp -s "$WORK/noisy.out" "$WORK/piped.out"; then
+    echo "noisy run: output equals the exact output" >&2
+    exit 1
+  fi
+  echo "noisy run: $(wc -l < "$WORK/noisy.out") responses, byte-identical" \
+    "to the reference and different from the exact output"
+done
 # An SQ-VAE: reconstruct draws reparameterisation noise from each request's
 # seed, and the coalesced pass must still match the per-request reference
 # on all four endpoints.

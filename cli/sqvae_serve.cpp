@@ -277,34 +277,40 @@ int main(int argc, char** argv) {
   Flags flags;
   // Model spec (must match the checkpoint's architecture).
   flags.add_string("checkpoint", "", "checkpoint path (v1 or v2; required)");
-  flags.add_int("input_dim", 64, "model input dimension");
+  flags.add_int("input_dim", 64, "model input dimension", 1);
   models::add_model_flags(flags);
   // Serving knobs.
-  flags.add_int("max_batch", 16, "micro-batch size cap (1 = no batching)");
+  flags.add_int("max_batch", 16, "micro-batch size cap (1 = no batching)",
+                0);
   flags.add_int("max_wait_us", 0,
                 "micro-batch straggler wait in microseconds (0 = "
-                "opportunistic coalescing only)");
+                "opportunistic coalescing only)",
+                0);
   flags.add_int("threads", 0,
                 "compute budget of each shard: one worker thread per unit, "
-                "each at a team of 1 (0 = process CPUs / --workers)");
+                "each at a team of 1 (0 = process CPUs / --workers)",
+                0);
   flags.add_int("max_queue", 1024,
                 "queued-request bound; when full, stdin mode blocks "
-                "(backpressure) and TCP mode sheds (0 = unbounded)");
+                "(backpressure) and TCP mode sheds (0 = unbounded)",
+                0);
   flags.add_int("cache_mb", 0,
-                "content-addressed response cache budget in MiB (0 = off)");
+                "content-addressed response cache budget in MiB (0 = off)", 0);
   flags.add_int("port", 0, "TCP port on 127.0.0.1 (0 = stdin/stdout mode)");
   flags.add_int("workers", 1,
                 "shard processes sharing --port via SO_REUSEPORT (TCP mode "
                 "only; a supervisor restarts crashed shards and coordinates "
-                "SIGTERM drain / SIGHUP rollout)");
+                "SIGTERM drain / SIGHUP rollout)",
+                1);
   flags.add_int("stats_port", 0,
                 "plain-HTTP Prometheus scrape port; shard i serves on "
                 "stats_port + i (0 = off)");
   flags.add_int("max_conns", 10000,
                 "TCP connection admission limit; connections beyond it get "
-                "one overloaded error line and are closed");
+                "one overloaded error line and are closed",
+                0);
   flags.add_int("idle_ms", 0,
-                "close TCP connections idle this long (0 = never)");
+                "close TCP connections idle this long (0 = never)", 0);
   flags.add_bool("reference", false,
                  "answer requests in-process without the service stack (the "
                  "determinism reference; for diffing)");
@@ -347,10 +353,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const int workers = static_cast<int>(flags.get_int("workers"));
-  if (workers < 1) {
-    std::fprintf(stderr, "--workers=%d must be >= 1\n", workers);
-    return 2;
-  }
   if (workers > 1 && port == 0) {
     std::fprintf(stderr,
                  "--workers=%d requires --port (SO_REUSEPORT sharding is "

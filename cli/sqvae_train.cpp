@@ -106,22 +106,23 @@ int main(int argc, char** argv) {
   flags.add_string("scenario", "digits",
                    "dataset: digits, cifar, qm9, pdbbind");
   models::add_model_flags(flags);
-  flags.add_int("samples", 300, "dataset size");
-  flags.add_double("test_fraction", 0.15, "held-out test fraction");
+  flags.add_int("samples", 300, "dataset size", 0);
+  flags.add_double("test_fraction", 0.15, "held-out test fraction in [0, 1)");
   // Streaming corpus input (overrides --scenario / --samples).
   flags.add_string("shards", "",
                    "comma-separated molecule shards (moldb_make) to stream "
                    "from instead of --scenario");
   flags.add_int("matrix_dim", 8,
                 "molecule-matrix dimension for --shards (input dim = "
-                "matrix_dim^2)");
+                "matrix_dim^2)",
+                1);
   flags.add_int("max_test", 4096,
-                "cap on materialized held-out rows with --shards");
+                "cap on materialized held-out rows with --shards", 0);
   flags.add_bool("l1_normalize", false,
                  "L1-normalise rows (fully quantum baselines)");
   // Optimisation.
-  flags.add_int("epochs", 20, "training epochs");
-  flags.add_int("batch", 32, "mini-batch size");
+  flags.add_int("epochs", 20, "training epochs", 0);
+  flags.add_int("batch", 32, "mini-batch size", 1);
   flags.add_double("qlr", 1e-3, "quantum learning rate");
   flags.add_double("clr", 1e-3, "classical learning rate");
   flags.add_double("kl_weight", 0.01, "KL weight (generative models)");
@@ -133,18 +134,19 @@ int main(int argc, char** argv) {
                  "data-parallel sharded engine");
   flags.add_int("threads", 0,
                 "data-parallel threads (0 = all; results are identical for "
-                "every value)");
+                "every value)",
+                0);
   flags.add_int("noise_seed", 0, "per-sample noise-stream seed (0 = default)");
   // Checkpoint / resume / early stop.
   flags.add_string("checkpoint", "",
                    "v2 checkpoint path (periodic save; best model at "
                    "<path>.best)");
-  flags.add_int("checkpoint_every", 1, "epochs between checkpoint saves");
+  flags.add_int("checkpoint_every", 1, "epochs between checkpoint saves", 0);
   flags.add_bool("resume", false,
                  "continue from --checkpoint (bit-equivalent to an "
                  "uninterrupted run)");
   flags.add_int("early_stop_patience", 0,
-                "epochs without improvement before stopping (0 = off)");
+                "epochs without improvement before stopping (0 = off)", 0);
   flags.add_double("early_stop_min_delta", 0.0,
                    "minimum improvement counted by early stopping");
   flags.add_bool("restore_best", false,
@@ -163,6 +165,11 @@ int main(int argc, char** argv) {
   std::string error;
   if (!models::spec_from_flags(flags, &spec, &error)) {
     std::fprintf(stderr, "sqvae_train: %s\n", error.c_str());
+    return 2;
+  }
+  const double test_fraction = flags.get_double("test_fraction");
+  if (!(test_fraction >= 0.0 && test_fraction < 1.0)) {
+    std::fprintf(stderr, "sqvae_train: --test_fraction must lie in [0, 1)\n");
     return 2;
   }
 
@@ -187,8 +194,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::size_t n = shard_dataset->rows();
-    std::size_t n_test = static_cast<std::size_t>(
-        static_cast<double>(n) * flags.get_double("test_fraction"));
+    std::size_t n_test =
+        static_cast<std::size_t>(static_cast<double>(n) * test_fraction);
     const std::size_t max_test =
         static_cast<std::size_t>(flags.get_int("max_test"));
     if (n_test > max_test) n_test = max_test;
@@ -208,8 +215,7 @@ int main(int argc, char** argv) {
                 std::to_string(n) + " records)";
   } else {
     Scenario scenario = load_scenario(flags, rng);
-    auto split = data::train_test_split(
-        scenario.dataset, flags.get_double("test_fraction"), rng);
+    auto split = data::train_test_split(scenario.dataset, test_fraction, rng);
     train_matrix = std::move(split.train.samples);
     test_matrix = std::move(split.test.samples);
     input_dim = scenario.input_dim;
@@ -235,7 +241,6 @@ int main(int argc, char** argv) {
   config.kl_weight = flags.get_double("kl_weight");
   config.grad_clip = flags.get_double("grad_clip");
   config.lr_decay = flags.get_double("lr_decay");
-  config.sim = spec.sim;
   config.data_parallel = !flags.get_bool("serial");
   config.num_threads = static_cast<int>(flags.get_int("threads"));
   if (flags.get_int("noise_seed") != 0) {
@@ -262,18 +267,25 @@ int main(int argc, char** argv) {
 
   Table table({"epoch", "train_loss", "train_mse", "train_kl", "test_mse",
                "seconds"});
-  const auto history = trainer.fit(
-      train_source, test_matrix.rows() > 0 ? &test_matrix : nullptr, rng,
-      [&table](const models::EpochStats& e) {
-        std::printf(
-            "epoch %3zu  loss %.6f  mse %.6f  kl %.6f  test %.6f  (%.2fs)\n",
-            e.epoch, e.train_loss, e.train_mse, e.train_kl, e.test_mse,
-            e.seconds);
-        std::fflush(stdout);
-        table.add_row({std::to_string(e.epoch), Table::fmt(e.train_loss, 6),
-                       Table::fmt(e.train_mse, 6), Table::fmt(e.train_kl, 6),
-                       Table::fmt(e.test_mse, 6), Table::fmt(e.seconds, 2)});
-      });
+  const auto report_epoch = [&table](const models::EpochStats& e) {
+    std::printf(
+        "epoch %3zu  loss %.6f  mse %.6f  kl %.6f  test %.6f  (%.2fs)\n",
+        e.epoch, e.train_loss, e.train_mse, e.train_kl, e.test_mse, e.seconds);
+    std::fflush(stdout);
+    table.add_row({std::to_string(e.epoch), Table::fmt(e.train_loss, 6),
+                   Table::fmt(e.train_mse, 6), Table::fmt(e.train_kl, 6),
+                   Table::fmt(e.test_mse, 6), Table::fmt(e.seconds, 2)});
+  };
+  std::vector<models::EpochStats> history;
+  try {
+    history = trainer.fit(train_source,
+                          test_matrix.rows() > 0 ? &test_matrix : nullptr, rng,
+                          report_epoch);
+  } catch (const std::exception& e) {
+    // A checkpoint that cannot be resumed, or a diverged epoch.
+    std::fprintf(stderr, "sqvae_train: %s\n", e.what());
+    return 1;
+  }
 
   if (history.empty()) {
     std::printf("nothing to do (checkpoint already at --epochs?)\n");

@@ -15,9 +15,9 @@ void Flags::add_string(const std::string& name, std::string default_value,
 }
 
 void Flags::add_int(const std::string& name, long long default_value,
-                    std::string help) {
+                    std::string help, long long min) {
   const std::string v = std::to_string(default_value);
-  entries_[name] = Entry{Type::kInt, v, v, std::move(help)};
+  entries_[name] = Entry{Type::kInt, v, v, std::move(help), min};
 }
 
 void Flags::add_double(const std::string& name, double default_value,
@@ -73,6 +73,10 @@ bool Flags::parse(int argc, const char* const* argv) {
       case Type::kInt: {
         long long v = 0;
         valid = number_text::parse(value, &v) == number_text::Error::kNone;
+        if (valid && v < e.min) {
+          throw std::invalid_argument("--" + name + " must be >= " +
+                                      std::to_string(e.min));
+        }
         break;
       }
       case Type::kDouble: {

@@ -6,6 +6,7 @@
 // configuration.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,9 +19,10 @@ class Flags {
   /// Registers a string flag with a default value and help text.
   void add_string(const std::string& name, std::string default_value,
                   std::string help);
-  /// Registers an integer flag.
+  /// Registers an integer flag. parse() rejects a value below `min`.
   void add_int(const std::string& name, long long default_value,
-               std::string help);
+               std::string help,
+               long long min = std::numeric_limits<long long>::min());
   /// Registers a floating-point flag.
   void add_double(const std::string& name, double default_value,
                   std::string help);
@@ -30,8 +32,9 @@ class Flags {
   /// Parses argv. Returns false (after printing usage) when --help is
   /// requested. Throws std::invalid_argument on unknown flags or malformed
   /// values: a number flag's value must be exactly one number
-  /// (common/number_text.h — "5x", or "3.7" for an int, is malformed), and
-  /// a double must be finite.
+  /// (common/number_text.h — "5x", or "3.7" for an int, is malformed), a
+  /// double must be finite, and an int below its minimum fails with
+  /// "--name must be >= min".
   bool parse(int argc, const char* const* argv);
 
   std::string get_string(const std::string& name) const;
@@ -52,6 +55,7 @@ class Flags {
     std::string value;
     std::string default_value;
     std::string help;
+    long long min = std::numeric_limits<long long>::min();  // kInt only
   };
   const Entry& entry(const std::string& name, Type expected) const;
 

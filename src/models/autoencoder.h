@@ -25,7 +25,6 @@
 #include "common/rng.h"
 #include "nn/linear.h"
 #include "nn/optim.h"
-#include "qsim/backend.h"
 
 namespace sqvae::models {
 
@@ -91,14 +90,6 @@ class Autoencoder {
   virtual std::vector<ad::Parameter*> quantum_parameters() = 0;
   /// Parameters of classical layers.
   virtual std::vector<ad::Parameter*> classical_parameters() = 0;
-
-  /// Switches the simulation regime of every quantum layer in the model
-  /// (exact statevector, noise trajectories, or finite shots — see
-  /// qsim/backend.h). No-op for purely classical models, so experiments can
-  /// set options uniformly across the autoencoder zoo. Measurement noise is
-  /// a pure function of each row's circuit inputs: it does not depend on
-  /// the row's batch, its thread or what the model ran before.
-  virtual void set_simulation_options(const qsim::SimulationOptions&) {}
 
   // ---- derived functionality -------------------------------------------
 

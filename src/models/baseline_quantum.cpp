@@ -18,7 +18,7 @@ QuantumLayerConfig encoder_config(const BaselineQuantumConfig& c) {
   q.num_qubits = c.num_qubits();
   q.entangling_layers = c.entangling_layers;
   q.input = QuantumLayerConfig::InputMode::kAmplitude;
-  q.output = QuantumLayerConfig::OutputMode::kExpectationZ;
+  q.output = qsim::Readout::kExpectationZ;
   q.input_dim = static_cast<int>(c.input_dim);
   q.sim = qsim::derive_layer_options(c.sim, 0);
   return q;
@@ -29,7 +29,7 @@ QuantumLayerConfig decoder_config(const BaselineQuantumConfig& c) {
   q.num_qubits = c.num_qubits();
   q.entangling_layers = c.entangling_layers;
   q.input = QuantumLayerConfig::InputMode::kAngle;
-  q.output = QuantumLayerConfig::OutputMode::kProbabilities;
+  q.output = qsim::Readout::kProbabilities;
   q.input_dim = c.num_qubits();
   q.sim = qsim::derive_layer_options(c.sim, 1);
   return q;
@@ -67,13 +67,6 @@ Var BaselineQuantumAutoencoder::decode(Tape& tape, Var z) {
 
 std::vector<ad::Parameter*> BaselineQuantumAutoencoder::quantum_parameters() {
   return {&encoder_.weights(), &decoder_.weights()};
-}
-
-void BaselineQuantumAutoencoder::set_simulation_options(
-    const qsim::SimulationOptions& sim) {
-  config_.sim = sim;
-  encoder_.set_simulation_options(qsim::derive_layer_options(sim, 0));
-  decoder_.set_simulation_options(qsim::derive_layer_options(sim, 1));
 }
 
 std::vector<ad::Parameter*>

@@ -49,7 +49,6 @@ class BaselineQuantumAutoencoder final : public Autoencoder {
   }
   std::vector<ad::Parameter*> quantum_parameters() override;
   std::vector<ad::Parameter*> classical_parameters() override;
-  void set_simulation_options(const qsim::SimulationOptions& sim) override;
 
  protected:
   GaussianHeads* heads() const override { return heads_.get(); }

@@ -84,9 +84,9 @@ void add_model_flags(Flags& flags) {
   flags.add_string("model", "sq-ae",
                    "classical-ae, classical-vae, fbq-ae, fbq-vae, hbq-ae, "
                    "hbq-vae, sq-ae, sq-vae");
-  flags.add_int("layers", 3, "entangling layers per circuit");
-  flags.add_int("patches", 2, "patch count (sq-ae / sq-vae)");
-  flags.add_int("latent", 6, "latent dimension (classical models)");
+  flags.add_int("layers", 3, "entangling layers per circuit", 1);
+  flags.add_int("patches", 2, "patch count (sq-ae / sq-vae)", 1);
+  flags.add_int("latent", 6, "latent dimension (classical models)", 1);
   flags.add_string("backend", "statevector",
                    "measurement regime: statevector, trajectory, shots");
   flags.add_int("shots", 1024, "shots / trajectories per estimate");
@@ -96,12 +96,6 @@ void add_model_flags(Flags& flags) {
 }
 
 bool spec_from_flags(const Flags& flags, ModelSpec* spec, std::string* error) {
-  for (const char* name : {"layers", "patches", "latent"}) {
-    if (flags.get_int(name) < 1) {
-      *error = std::string("--") + name + " must be >= 1";
-      return false;
-    }
-  }
   spec->kind = flags.get_string("model");
   spec->entangling_layers = static_cast<int>(flags.get_int("layers"));
   spec->patches = static_cast<int>(flags.get_int("patches"));

@@ -39,13 +39,14 @@ std::unique_ptr<Autoencoder> build_model(const ModelSpec& spec,
 
 /// Registers the model and simulation flags sqvae_train and sqvae_serve
 /// share: --model, --layers, --patches, --latent, --backend, --shots,
-/// --gate_error and --sim_seed.
+/// --gate_error and --sim_seed. Flags::parse rejects --layers, --patches
+/// or --latent below 1.
 void add_model_flags(Flags& flags);
 
 /// Reads the flags add_model_flags registered into `spec`; input_dim is
 /// left to the caller. False and `error` on an unknown --backend, on
-/// --layers, --patches or --latent below 1, on --shots below 1 under a
-/// stochastic backend, and on --gate_error outside [0, 1].
+/// --shots below 1 under a stochastic backend, and on --gate_error
+/// outside [0, 1].
 bool spec_from_flags(const Flags& flags, ModelSpec* spec, std::string* error);
 
 }  // namespace sqvae::models

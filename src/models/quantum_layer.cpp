@@ -45,7 +45,6 @@ QuantumLayer::QuantumLayer(const QuantumLayerConfig& config, sqvae::Rng& rng)
       weight_slot_offset_(weight_offset_for(config)),
       circuit_(build_circuit(config)),
       executor_(circuit_),
-      backend_(qsim::SimulationBackend::create(config.sim)),
       weights_(init_weights(
           Circuit::entangling_layer_param_count(config.num_qubits,
                                                 config.entangling_layers),
@@ -60,7 +59,7 @@ QuantumLayer::QuantumLayer(const QuantumLayerConfig& config, sqvae::Rng& rng)
 }
 
 int QuantumLayer::output_dim() const {
-  return config_.output == QuantumLayerConfig::OutputMode::kExpectationZ
+  return config_.output == qsim::Readout::kExpectationZ
              ? config_.num_qubits
              : (1 << config_.num_qubits);
 }
@@ -84,21 +83,15 @@ Statevector QuantumLayer::initial_state(
   return Statevector(config_.num_qubits);
 }
 
-void QuantumLayer::set_simulation_options(
-    const qsim::SimulationOptions& options) {
-  config_.sim = options;
-  backend_ = qsim::SimulationBackend::create(options);
-}
-
 Matrix QuantumLayer::measure(const Matrix& input,
                              std::vector<std::vector<double>>& slots,
                              std::vector<Statevector>* finals) const {
   assert(input.cols() == static_cast<std::size_t>(config_.input_dim));
   const std::size_t batch = input.rows();
 
-  // Assemble per-sample slot vectors and initial states, then advance the
-  // whole mini-batch through the configured backend (exact statevector,
-  // noise trajectories, or shot sampling — all share the compiled plan).
+  // Assemble per-sample slot vectors and initial states, then measure the
+  // whole mini-batch under the layer's regime (exact statevector, noise
+  // trajectories, or shot sampling — all share the compiled plan).
   slots.resize(batch);
   std::vector<Statevector> initials;
   initials.reserve(batch);
@@ -107,10 +100,8 @@ Matrix QuantumLayer::measure(const Matrix& input,
     slots[r] = slot_values(row);
     initials.push_back(initial_state(row));
   }
-  const std::vector<std::vector<double>> measured =
-      config_.output == QuantumLayerConfig::OutputMode::kExpectationZ
-          ? backend_->expectations_z_batch(executor_, slots, initials, finals)
-          : backend_->probabilities_batch(executor_, slots, initials, finals);
+  const std::vector<std::vector<double>> measured = qsim::measure_batch(
+      config_.sim, executor_, slots, initials, config_.output, finals);
 
   Matrix out(batch, static_cast<std::size_t>(output_dim()));
   for (std::size_t r = 0; r < batch; ++r) {
@@ -158,7 +149,7 @@ ad::Var QuantumLayer::forward(ad::Tape& tape, ad::Var input) {
     std::vector<std::vector<double>> diags(batch);
     for (std::size_t r = 0; r < batch; ++r) {
       const std::vector<double> cotangent = out_grad.row(r);
-      if (config_.output == QuantumLayerConfig::OutputMode::kExpectationZ) {
+      if (config_.output == qsim::Readout::kExpectationZ) {
         diags[r] = qsim::weighted_z_diagonal(config_.num_qubits, cotangent);
       } else {
         diags[r] = qsim::probability_vjp_diagonal(cotangent);

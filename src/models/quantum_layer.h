@@ -6,26 +6,28 @@
 // layer = data embedding (angle or amplitude) -> L strongly entangling
 // layers (Fig. 2(b)) -> measurement (per-qubit <Z> or basis probabilities).
 //
+// Measurement: every forward runs qsim::measure_batch under the layer's
+// SimulationOptions (config().sim: exact, trajectory noise or finite
+// shots, qsim/backend.h). The regime is fixed when the layer is built.
+//
 // Differentiation: the tape sees the layer as one custom op. Its forward
-// keeps each row's slot vector and noiseless final state (the backend's
-// batch call hands them over, qsim/backend.h): 2^n amplitudes per row,
-// 2 KiB at 7 qubits. Its backward starts each row's adjoint sweep from
-// that state — no second forward pass — with the *weighted* observable
-// diag(sum_q w_q Z_q) (expectation output) or diag(w) (probability
-// output), where w is the upstream cotangent — so the full vector-Jacobian
-// product costs a single reverse walk regardless of output dimension, and
-// the same walk yields input gradients: through the angle-embedding
-// rotation slots (angle mode) or through the L2-normalisation Jacobian of
-// the initial state (amplitude mode). On a values-only tape (inference,
-// ad::ValuesOnly) the layer records a constant and keeps no states.
+// keeps each row's slot vector and noiseless final state (measure_batch
+// hands them over): 2^n amplitudes per row, 2 KiB at 7 qubits. Its
+// backward starts each row's adjoint sweep from that state — no second
+// forward pass — with the *weighted* observable diag(sum_q w_q Z_q)
+// (expectation output) or diag(w) (probability output), where w is the
+// upstream cotangent — so the full vector-Jacobian product costs a single
+// reverse walk regardless of output dimension, and the same walk yields
+// input gradients: through the angle-embedding rotation slots (angle
+// mode) or through the L2-normalisation Jacobian of the initial state
+// (amplitude mode). On a values-only tape (inference, ad::ValuesOnly) the
+// layer records a constant and keeps no states.
 //
 // Weight convention: a 1 x (3 * num_qubits * layers) row parameter, slots
 // ordered layer-major then qubit-major then (phi, theta, omega) — the
 // StronglyEntanglingLayers layout. Initialised uniform in [-pi, pi], the
 // paper's quantum parameter range.
 #pragma once
-
-#include <memory>
 
 #include "autodiff/tape.h"
 #include "common/rng.h"
@@ -43,13 +45,11 @@ struct QuantumLayerConfig {
     kAngle,      // input dim = num_qubits rotation angles
     kAmplitude,  // input dim <= 2^num_qubits real features
   };
-  enum class OutputMode {
-    kExpectationZ,   // output dim = num_qubits
-    kProbabilities,  // output dim = 2^num_qubits
-  };
 
   InputMode input = InputMode::kAngle;
-  OutputMode output = OutputMode::kExpectationZ;
+  /// Output dim: num_qubits for kExpectationZ, 2^num_qubits for
+  /// kProbabilities.
+  qsim::Readout output = qsim::Readout::kExpectationZ;
 
   /// Input feature count. For kAngle this must equal num_qubits; for
   /// kAmplitude it may be any value <= 2^num_qubits (zero-padded).
@@ -83,16 +83,8 @@ class QuantumLayer {
   /// and adjoint pass of this layer runs through.
   const qsim::CircuitExecutor& executor() const { return executor_; }
 
-  /// The measurement backend the layer's forward passes run through.
-  const qsim::SimulationBackend& backend() const { return *backend_; }
-
-  /// Switches the simulation regime in place (e.g. train exactly, evaluate
-  /// under shot noise). Stochastic estimates then draw from the new
-  /// options' seed, keyed by each row's circuit inputs (qsim/backend.h).
-  void set_simulation_options(const qsim::SimulationOptions& options);
-
  private:
-  /// Runs `input` through the backend: fills `slots` with each row's slot
+  /// Measures `input` under config_.sim: fills `slots` with each row's slot
   /// vector and, when non-null, `finals` with its noiseless final state.
   Matrix measure(const Matrix& input, std::vector<std::vector<double>>& slots,
                  std::vector<qsim::Statevector>* finals) const;
@@ -109,9 +101,6 @@ class QuantumLayer {
   int weight_slot_offset_ = 0;
   qsim::Circuit circuit_;
   qsim::CircuitExecutor executor_;  // compiled from circuit_, kept in sync
-  // Measurement backend built from config_.sim; all forward measurements
-  // (exact, trajectory-noisy, or shot-sampled) route through it.
-  std::unique_ptr<qsim::SimulationBackend> backend_;
   ad::Parameter weights_;
 };
 

@@ -14,25 +14,19 @@ int log2_exact(std::size_t v) {
   return k;
 }
 
-/// Per-patch stream decorrelation: encoder patch p is layer 2p, decoder
-/// patch p is layer 2p+1 in derive_layer_options' index space, so one
-/// model-level SimulationOptions drives all patches without replaying
-/// identical noise.
-qsim::SimulationOptions patch_sim(const qsim::SimulationOptions& sim,
-                                  std::uint64_t layer_index) {
-  return qsim::derive_layer_options(sim, layer_index);
-}
-
 QuantumLayerConfig patch_encoder_config(const ScalableQuantumConfig& c,
                                         int patch) {
   QuantumLayerConfig q;
   q.num_qubits = c.qubits_per_patch();
   q.entangling_layers = c.entangling_layers;
   q.input = QuantumLayerConfig::InputMode::kAmplitude;
-  q.output = QuantumLayerConfig::OutputMode::kExpectationZ;
   q.input_dim =
       static_cast<int>(c.input_dim / static_cast<std::size_t>(c.patches));
-  q.sim = patch_sim(c.sim, 2 * static_cast<std::uint64_t>(patch));
+  // Encoder patch p is layer 2p, decoder patch p layer 2p+1 of
+  // derive_layer_options: one model-level seed, no two patches replaying
+  // the same noise.
+  q.sim = qsim::derive_layer_options(
+      c.sim, 2 * static_cast<std::uint64_t>(patch));
   return q;
 }
 
@@ -42,9 +36,9 @@ QuantumLayerConfig patch_decoder_config(const ScalableQuantumConfig& c,
   q.num_qubits = c.qubits_per_patch();
   q.entangling_layers = c.entangling_layers;
   q.input = QuantumLayerConfig::InputMode::kAngle;
-  q.output = QuantumLayerConfig::OutputMode::kExpectationZ;
   q.input_dim = c.qubits_per_patch();
-  q.sim = patch_sim(c.sim, 2 * static_cast<std::uint64_t>(patch) + 1);
+  q.sim = qsim::derive_layer_options(
+      c.sim, 2 * static_cast<std::uint64_t>(patch) + 1);
   return q;
 }
 
@@ -119,17 +113,6 @@ std::vector<ad::Parameter*> ScalableQuantumAutoencoder::quantum_parameters() {
   for (QuantumLayer& l : encoder_patches_) out.push_back(&l.weights());
   for (QuantumLayer& l : decoder_patches_) out.push_back(&l.weights());
   return out;
-}
-
-void ScalableQuantumAutoencoder::set_simulation_options(
-    const qsim::SimulationOptions& sim) {
-  config_.sim = sim;
-  for (std::size_t p = 0; p < encoder_patches_.size(); ++p) {
-    encoder_patches_[p].set_simulation_options(
-        patch_sim(sim, 2 * static_cast<std::uint64_t>(p)));
-    decoder_patches_[p].set_simulation_options(
-        patch_sim(sim, 2 * static_cast<std::uint64_t>(p) + 1));
-  }
 }
 
 std::vector<ad::Parameter*>

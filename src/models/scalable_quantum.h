@@ -55,7 +55,6 @@ class ScalableQuantumAutoencoder final : public Autoencoder {
   std::size_t latent_dim() const override { return config_.latent_dim(); }
   std::vector<ad::Parameter*> quantum_parameters() override;
   std::vector<ad::Parameter*> classical_parameters() override;
-  void set_simulation_options(const qsim::SimulationOptions& sim) override;
 
   const ScalableQuantumConfig& config() const { return config_; }
 

@@ -69,6 +69,20 @@ class IndexedGradSink final : public ad::GradSink {
   std::vector<Matrix>& grads_;
 };
 
+/// What is non-finite after an epoch — the training loss, the test MSE
+/// (when `has_test`) or a parameter — or null when all of it is finite.
+const char* non_finite_part(const EpochStats& stats, bool has_test,
+                            const std::vector<ad::Parameter*>& params) {
+  if (!std::isfinite(stats.train_loss)) return "training loss";
+  if (has_test && !std::isfinite(stats.test_mse)) return "test MSE";
+  for (const ad::Parameter* p : params) {
+    for (std::size_t i = 0; i < p->value.size(); ++i) {
+      if (!std::isfinite(p->value[i])) return "parameter";
+    }
+  }
+  return nullptr;
+}
+
 struct EpochSums {
   double loss = 0.0;
   double mse = 0.0;
@@ -173,10 +187,10 @@ std::vector<EpochStats> Trainer::fit(const Matrix& train, const Matrix* test,
 std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
                                      const Matrix* test, sqvae::Rng& rng,
                                      const EpochCallback& callback) {
-  model_.set_kl_weight(config_.kl_weight);
-  if (config_.sim.has_value()) {
-    model_.set_simulation_options(*config_.sim);
+  if (config_.batch_size == 0) {
+    throw std::invalid_argument("Trainer: batch_size must be >= 1");
   }
+  model_.set_kl_weight(config_.kl_weight);
   const std::vector<nn::ParamGroup> groups =
       model_.param_groups(config_.quantum_lr, config_.classical_lr);
   nn::Adam optimizer(groups);
@@ -238,6 +252,7 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
   const thread_budget::Split split = thread_budget::split(
       thread_budget::current(), resolve_threads(model_, config_));
 
+  const bool has_test = test != nullptr && test->rows() > 0;
   std::vector<EpochStats> history;
   history.reserve(config_.epochs > start_epoch ? config_.epochs - start_epoch
                                                : 0);
@@ -330,17 +345,20 @@ std::vector<EpochStats> Trainer::fit(const data::RowSource& train,
     stats.train_loss = sums.loss / n;
     stats.train_mse = sums.mse / n;
     stats.train_kl = sums.kl / n;
-    if (test != nullptr && test->rows() > 0) {
-      stats.test_mse = model_.evaluate_mse(*test, rng);
-    }
+    if (has_test) stats.test_mse = model_.evaluate_mse(*test, rng);
     stats.seconds = watch.seconds();
     if (callback) callback(stats);
+    // A diverged epoch stops the run before it can become the best model
+    // or a checkpoint; the callback has already seen it.
+    if (const char* part = non_finite_part(stats, has_test, params)) {
+      throw std::runtime_error("Trainer: epoch " + std::to_string(epoch) +
+                               " diverged (non-finite " + part +
+                               "); stopped before checkpointing it");
+    }
     history.push_back(stats);
 
     // ---- best-model tracking + early stopping ----
-    const double metric = (test != nullptr && test->rows() > 0)
-                              ? stats.test_mse
-                              : stats.train_loss;
+    const double metric = has_test ? stats.test_mse : stats.train_loss;
     const bool improved =
         !has_best_ || metric < best_metric_ - config_.early_stop_min_delta;
     if (!has_best_ || metric < best_metric_) {

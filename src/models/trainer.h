@@ -18,9 +18,10 @@
 //     thread count: training is bit-identical at 1 and N threads. The
 //     team takes the caller's thread budget (common/thread_budget.h) and
 //     each member runs its samples at budget / team. Stochastic
-//     measurement backends (trajectory/shots) shard the same way: each
-//     estimate's noise is keyed by what its circuit sees (qsim/backend.h),
-//     not by a counter, so it too is independent of the thread count.
+//     measurement regimes (trajectory/shots, fixed in the model's config)
+//     shard the same way: each estimate's noise is keyed by what its
+//     circuit sees (qsim/backend.h), not by a counter, so it too is
+//     independent of the thread count.
 //
 //   * serial (data_parallel = false) — the legacy one-tape-per-batch loop,
 //     kept as the A/B baseline for bench_train_micro; its batch draws its
@@ -38,13 +39,17 @@
 // Rng state, see models/checkpoint.h) every `checkpoint_every` epochs, and
 // with `resume = true` continues from it such that the resumed run is
 // bit-equivalent to one that was never interrupted, under every
-// simulation backend: measurement noise is a function of the restored
+// simulation regime: measurement noise is a function of the restored
 // parameters and the data, so it needs no state of its own.
+//
+// Divergence: after each epoch's callback, fit() throws std::runtime_error
+// naming the epoch when its training loss, its test MSE (with a test set)
+// or any parameter is non-finite — before best tracking and the
+// checkpoint write, so the files on disk keep the last finite epoch.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,11 +70,6 @@ struct TrainConfig {
   /// Per-epoch multiplicative learning-rate decay; 1 keeps the paper's
   /// constant schedule.
   double lr_decay = 1.0;
-  /// When set, fit() switches the model's quantum layers to this simulation
-  /// regime (exact / noise trajectories / finite shots — see qsim/backend.h)
-  /// before training, so one experiment config selects the regime end to
-  /// end. Unset leaves the model's current backends untouched.
-  std::optional<qsim::SimulationOptions> sim{};
 
   // ---- data-parallel engine --------------------------------------------
   /// False selects the legacy serial one-tape-per-batch loop.
@@ -122,7 +122,9 @@ class Trainer {
 
   /// Trains on `train` (rows = samples); evaluates reconstruction MSE on
   /// `test` after each epoch when non-null. Returns per-epoch statistics
-  /// (resumed runs return only the epochs they executed).
+  /// (resumed runs return only the epochs they executed). Throws
+  /// std::invalid_argument on batch_size 0, and std::runtime_error on a
+  /// checkpoint that cannot be resumed or an epoch that diverged.
   std::vector<EpochStats> fit(const Matrix& train, const Matrix* test,
                               sqvae::Rng& rng,
                               const EpochCallback& callback = {});

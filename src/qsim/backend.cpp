@@ -385,89 +385,13 @@ std::size_t sample_from_cdf(const std::vector<double>& cdf, sqvae::Rng& rng) {
                          : static_cast<std::size_t>(it - cdf.begin());
 }
 
-}  // namespace
-
-// ---- SimulationBackend ----------------------------------------------------
-
-std::vector<double> SimulationBackend::expectations_z(
-    const CircuitExecutor& exec, const std::vector<double>& params) const {
-  const std::vector<Statevector> initials(1, Statevector(exec.num_qubits()));
-  return expectations_z_batch(exec, {params}, initials)[0];
-}
-
-std::vector<double> SimulationBackend::probabilities(
-    const CircuitExecutor& exec, const std::vector<double>& params) const {
-  const std::vector<Statevector> initials(1, Statevector(exec.num_qubits()));
-  return probabilities_batch(exec, {params}, initials)[0];
-}
-
-std::unique_ptr<SimulationBackend> SimulationBackend::create(
-    const SimulationOptions& options) {
-  switch (options.backend) {
-    case BackendKind::kTrajectory:
-      return std::make_unique<TrajectoryBackend>(options);
-    case BackendKind::kShotSampling:
-      return std::make_unique<ShotSamplingBackend>(options);
-    case BackendKind::kStatevector:
-      break;
-  }
-  return std::make_unique<StatevectorBackend>();
-}
-
-// ---- StatevectorBackend ---------------------------------------------------
-
-namespace {
-
-std::vector<std::vector<double>> exact_measurements(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials, bool probabilities,
-    std::vector<Statevector>* finals) {
-  assert(params_batch.size() == initials.size());
-  std::vector<Statevector> local;
-  std::vector<Statevector>& states = finals != nullptr ? *finals : local;
-  states = initials;
-  exec.run_batch(params_batch, states);
-  std::vector<std::vector<double>> out(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    out[i] = measure_row(states[i], probabilities);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::vector<double>> StatevectorBackend::expectations_z_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
-    std::vector<Statevector>* finals) const {
-  return exact_measurements(exec, params_batch, initials, false, finals);
-}
-
-std::vector<std::vector<double>> StatevectorBackend::probabilities_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
-    std::vector<Statevector>* finals) const {
-  return exact_measurements(exec, params_batch, initials, true, finals);
-}
-
-// ---- TrajectoryBackend ----------------------------------------------------
-
-TrajectoryBackend::TrajectoryBackend(const SimulationOptions& options)
-    : options_(options) {
-  assert(options_.shots > 0 && "trajectory backend needs >= 1 trajectory");
-}
-
-namespace {
+// ---- the regimes ----------------------------------------------------------
 
 std::vector<std::vector<double>> trajectory_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials, const SimulationOptions& options,
     bool probabilities, std::vector<Statevector>* finals) {
-  assert(params_batch.size() == initials.size());
   // The noiseless pass below applies unfused ops, whose state differs from
   // the plan's in the last bits: final states come from the plan itself.
   if (finals != nullptr) {
@@ -488,76 +412,12 @@ std::vector<std::vector<double>> trajectory_measurements(
   return out;
 }
 
-}  // namespace
-
-std::vector<std::vector<double>> TrajectoryBackend::expectations_z_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
-    std::vector<Statevector>* finals) const {
-  return trajectory_measurements(exec, params_batch, initials, options_,
-                                 false, finals);
-}
-
-std::vector<std::vector<double>> TrajectoryBackend::probabilities_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
-    std::vector<Statevector>* finals) const {
-  return trajectory_measurements(exec, params_batch, initials, options_,
-                                 true, finals);
-}
-
-TrajectoryEstimate TrajectoryBackend::expectations_z_with_stats(
-    const CircuitExecutor& exec, const std::vector<double>& params,
-    const Statevector* initial) const {
-  const Statevector start =
-      initial != nullptr ? *initial : Statevector(exec.num_qubits());
-  const std::size_t n = static_cast<std::size_t>(exec.num_qubits());
-  const double m = static_cast<double>(options_.shots);
-  const TrajectorySample sample(exec, params, start);
-  std::vector<double> chunk_rows;
-  std::vector<double> sum_squares;
-
-  TrajectoryEstimate estimate;
-  estimate.mean = trajectory_mean(sample, options_, content_key(params, start),
-                                  false, n, chunk_rows, &sum_squares);
-  estimate.std_error.assign(n, 0.0);
-  if (options_.shots > 1) {
-    for (std::size_t q = 0; q < n; ++q) {
-      // Sample variance from the accumulated first two moments; values
-      // live in [-1, 1], so the cancellation error is ~ m * 1e-16 —
-      // negligible against any variance the 3-sigma tests can resolve.
-      const double var = std::max(
-          0.0, (sum_squares[q] - m * estimate.mean[q] * estimate.mean[q]) /
-                   (m - 1.0));
-      estimate.std_error[q] = std::sqrt(var / m);
-    }
-  }
-  return estimate;
-}
-
-// ---- ShotSamplingBackend --------------------------------------------------
-
-ShotSamplingBackend::ShotSamplingBackend(const SimulationOptions& options)
-    : options_(options) {
-  assert(options_.shots > 0 && "shot backend needs >= 1 shot");
-}
-
-namespace {
-
+/// Finite sampling on top of the batch's exact final `states`.
 std::vector<std::vector<double>> shot_measurements(
     const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
     const std::vector<Statevector>& initials, const SimulationOptions& options,
-    bool probabilities, std::vector<Statevector>* finals) {
-  assert(params_batch.size() == initials.size());
-  // Exact states through the fused plan, then finite sampling on top.
-  std::vector<Statevector> local;
-  std::vector<Statevector>& states = finals != nullptr ? *finals : local;
-  states = initials;
-  exec.run_batch(params_batch, states);
-
+    bool probabilities, const std::vector<Statevector>& states) {
   const std::size_t n = static_cast<std::size_t>(exec.num_qubits());
   const std::size_t dim = std::size_t{1} << exec.num_qubits();
   std::vector<std::vector<double>> out(states.size());
@@ -592,22 +452,69 @@ std::vector<std::vector<double>> shot_measurements(
 
 }  // namespace
 
-std::vector<std::vector<double>> ShotSamplingBackend::expectations_z_batch(
-    const CircuitExecutor& exec,
+std::vector<std::vector<double>> measure_batch(
+    const SimulationOptions& options, const CircuitExecutor& exec,
     const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
-    std::vector<Statevector>* finals) const {
-  return shot_measurements(exec, params_batch, initials, options_, false,
-                           finals);
+    const std::vector<Statevector>& initials, Readout readout,
+    std::vector<Statevector>* finals) {
+  assert(params_batch.size() == initials.size());
+  assert((options.backend == BackendKind::kStatevector || options.shots > 0) &&
+         "stochastic regimes need >= 1 shot or trajectory");
+  const bool probabilities = readout == Readout::kProbabilities;
+  if (options.backend == BackendKind::kTrajectory) {
+    return trajectory_measurements(exec, params_batch, initials, options,
+                                   probabilities, finals);
+  }
+  std::vector<Statevector> local;
+  std::vector<Statevector>& states = finals != nullptr ? *finals : local;
+  states = initials;
+  exec.run_batch(params_batch, states);
+  if (options.backend == BackendKind::kShotSampling) {
+    return shot_measurements(exec, params_batch, initials, options,
+                             probabilities, states);
+  }
+  std::vector<std::vector<double>> out(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    out[i] = measure_row(states[i], probabilities);
+  }
+  return out;
 }
 
-std::vector<std::vector<double>> ShotSamplingBackend::probabilities_batch(
-    const CircuitExecutor& exec,
-    const std::vector<std::vector<double>>& params_batch,
-    const std::vector<Statevector>& initials,
-    std::vector<Statevector>* finals) const {
-  return shot_measurements(exec, params_batch, initials, options_, true,
-                           finals);
+std::vector<double> measure_from_zero(const SimulationOptions& options,
+                                      const CircuitExecutor& exec,
+                                      const std::vector<double>& params,
+                                      Readout readout) {
+  const std::vector<Statevector> initials(1, Statevector(exec.num_qubits()));
+  return measure_batch(options, exec, {params}, initials, readout)[0];
+}
+
+TrajectoryEstimate trajectory_estimate(const SimulationOptions& options,
+                                       const CircuitExecutor& exec,
+                                       const std::vector<double>& params,
+                                       const Statevector& initial) {
+  assert(options.shots > 0 && "trajectory estimates need >= 1 trajectory");
+  const std::size_t n = static_cast<std::size_t>(exec.num_qubits());
+  const double m = static_cast<double>(options.shots);
+  const TrajectorySample sample(exec, params, initial);
+  std::vector<double> chunk_rows;
+  std::vector<double> sum_squares;
+
+  TrajectoryEstimate estimate;
+  estimate.mean = trajectory_mean(sample, options, content_key(params, initial),
+                                  false, n, chunk_rows, &sum_squares);
+  estimate.std_error.assign(n, 0.0);
+  if (options.shots > 1) {
+    for (std::size_t q = 0; q < n; ++q) {
+      // Sample variance from the accumulated first two moments; values
+      // live in [-1, 1], so the cancellation error is ~ m * 1e-16 —
+      // negligible against any variance the 3-sigma tests can resolve.
+      const double var = std::max(
+          0.0, (sum_squares[q] - m * estimate.mean[q] * estimate.mean[q]) /
+                   (m - 1.0));
+      estimate.std_error[q] = std::sqrt(var / m);
+    }
+  }
+  return estimate;
 }
 
 }  // namespace sqvae::qsim

@@ -1,16 +1,16 @@
-// Unified simulation-backend layer: one API for every execution regime.
+// Measurement under every simulation regime: one function, one options value.
 //
 // The paper's experiments run hybrid quantum layers under three regimes —
 // ideal statevector simulation, gate-noise simulation, and finite-shot
-// measurement — and each regime has exactly one implementation here. A
-// SimulationBackend turns the regime into *data*: every backend consumes
-// the same compiled `CircuitExecutor` plan and produces the same batched
-// measurement estimates, so models, the trainer, and the benches switch
-// regimes by changing one `SimulationOptions` value.
+// measurement — and each regime has exactly one implementation here.
+// `SimulationOptions` is the regime as data: `measure_batch` switches on
+// `options.backend`, every regime consumes the same compiled
+// `CircuitExecutor` plan and produces the same batched readout, so models,
+// the trainer, and the benches select a regime with one value.
 //
-// Backends:
+// Regimes (`BackendKind`):
 //   * kStatevector — exact expectations/probabilities from the gate-fused
-//     plan; identical results (and cost) to the PR-1 executor hot path.
+//     plan; identical results (and cost) to CircuitExecutor::run_batch.
 //   * kTrajectory — quantum-trajectory Monte Carlo of the stochastic Pauli
 //     channel (NoiseModel): the depolarizing channel is unravelled into
 //     pure-state trajectories, so a noisy estimate costs O(shots * 2^n)
@@ -37,36 +37,35 @@
 // Sample s of a batch draws from private Rng streams seeded by mixing
 // (options.seed, content key, draw index), where the content key is a
 // SplitMix avalanche over the bit patterns of params_batch[s] and the
-// amplitudes of initials[s] — what that sample's circuit sees. The
-// backends therefore keep no state: a row computed inside a batch is
-// bit-identical to the same row computed alone, repeats replay, and any
-// number of threads may run through one backend. Monte-Carlo means are
-// reduced in fixed trajectory order from bounded per-trajectory chunk
-// buffers, so results are also bit-identical across OpenMP thread counts:
-// threads never share a stream, and no floating-point reduction happens in
-// thread order. (If a future backend ever accumulates inside the parallel
-// region instead, exact bitwise equality across thread counts is lost to
-// reduction-order round-off — keep the buffer-then-serial-sum shape.)
+// amplitudes of initials[s] — what that sample's circuit sees. Nothing
+// here keeps state: a row computed inside a batch is bit-identical to the
+// same row computed alone, repeats replay, and any number of threads may
+// measure at once. Monte-Carlo means are reduced in fixed trajectory order
+// from bounded per-trajectory chunk buffers, so results are also
+// bit-identical across OpenMP thread counts: threads never share a stream,
+// and no floating-point reduction happens in thread order. (If a future
+// regime ever accumulates inside the parallel region instead, exact
+// bitwise equality across thread counts is lost to reduction-order
+// round-off — keep the buffer-then-serial-sum shape.)
 //
 // Identical circuit inputs under identical options share one noise draw
 // (common random numbers); each estimate stays unbiased with the same
 // variance. Independent repeats of one input need distinct seeds. The
-// exact backend computes no key.
+// exact regime computes no key.
 //
-// Gradients are *not* routed through the stochastic backends: QuantumLayer
+// Gradients are *not* routed through the stochastic regimes: QuantumLayer
 // always differentiates the exact statevector path (adjoint sweeps through
-// the fused plan), starting from the noiseless final states the forward's
-// batch call hands back through `finals`. Every backend hands back the same
-// states — the fused plan's, bit for bit — so a layer's gradients do not
-// depend on its measurement regime. Training under noise/shots therefore
-// pairs stochastic forward estimates with exact-path gradients — the
-// standard simulator simplification; unbiased stochastic gradient
-// estimators (parameter shift on shot estimates) are available by
-// composing this API, see bench_gradient_variance.cpp.
+// the fused plan), starting from the noiseless final states measure_batch
+// hands back through `finals`. Every regime hands back the same states —
+// the fused plan's, bit for bit — so a layer's gradients do not depend on
+// its measurement regime. Training under noise/shots therefore pairs
+// stochastic forward estimates with exact-path gradients — the standard
+// simulator simplification; unbiased stochastic gradient estimators
+// (parameter shift on shot estimates) are available by composing this
+// API, see bench_gradient_variance.cpp.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "qsim/executor.h"
@@ -81,8 +80,8 @@ enum class BackendKind {
   kShotSampling,  // exact state, finite measurement shots
 };
 
-/// One knob for every simulation regime. Threaded through QuantumLayer,
-/// the baseline/scalable models, and the Trainer.
+/// One knob for every simulation regime. Threaded through QuantumLayer and
+/// the baseline/scalable models; fixed when a model is built.
 struct SimulationOptions {
   BackendKind backend = BackendKind::kStatevector;
   /// kShotSampling: measurement shots per estimate. kTrajectory: number of
@@ -90,8 +89,14 @@ struct SimulationOptions {
   std::size_t shots = 1024;
   /// Per-gate Pauli error rate; used by kTrajectory only.
   NoiseModel noise{};
-  /// Base seed of the backend's private random streams.
+  /// Base seed of the stochastic regimes' private random streams.
   std::uint64_t seed = 0x5eedbacc0ffee123ull;
+};
+
+/// What a measurement reads out of each final state.
+enum class Readout {
+  kExpectationZ,   // per-qubit <Z>: num_qubits values
+  kProbabilities,  // basis-state probabilities: 2^num_qubits values
 };
 
 /// Same options with a seed derived from (options.seed, layer_index).
@@ -101,49 +106,28 @@ struct SimulationOptions {
 SimulationOptions derive_layer_options(const SimulationOptions& options,
                                        std::uint64_t layer_index);
 
-class SimulationBackend {
- public:
-  virtual ~SimulationBackend() = default;
+/// Per-sample `readout` estimates under the regime `options` selects:
+/// params_batch[i] runs from initials[i] (pass |0...0> states for circuits
+/// without embedding). Batched and OpenMP-parallel like
+/// CircuitExecutor::run_batch, and stateless, so any number of threads may
+/// measure through one executor at once (the trainer's sample team does).
+///
+/// When `finals` is non-null it receives each row's noiseless final state
+/// U initials[i], exactly as CircuitExecutor::run_batch computes it — the
+/// input CircuitExecutor::adjoint_batch differentiates from. The exact and
+/// shot regimes hand over the states they measured; the trajectory regime
+/// runs the fused plan once more, into `finals`, only when it is asked for.
+std::vector<std::vector<double>> measure_batch(
+    const SimulationOptions& options, const CircuitExecutor& exec,
+    const std::vector<std::vector<double>>& params_batch,
+    const std::vector<Statevector>& initials, Readout readout,
+    std::vector<Statevector>* finals = nullptr);
 
-  virtual BackendKind kind() const = 0;
-  /// Short human-readable name ("statevector", "trajectory", "shots").
-  virtual const char* name() const = 0;
-
-  /// Per-sample per-qubit <Z> estimates. params_batch[i] runs from
-  /// initials[i] (pass |0...0> states for circuits without embedding).
-  /// Batched and OpenMP-parallel like CircuitExecutor::run_batch. Const and
-  /// stateless, so any number of threads may execute through one shared
-  /// backend concurrently (the trainer's sample team does).
-  ///
-  /// When `finals` is non-null it receives each row's noiseless final
-  /// state U initials[i], exactly as CircuitExecutor::run_batch computes it
-  /// — the input CircuitExecutor::adjoint_batch differentiates from. The
-  /// exact and shot backends hand over the states they measured; the
-  /// trajectory backend runs the fused plan once more on a copy.
-  virtual std::vector<std::vector<double>> expectations_z_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const = 0;
-
-  /// Per-sample basis-state probability estimates (length 2^n each), like
-  /// expectations_z_batch.
-  virtual std::vector<std::vector<double>> probabilities_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const = 0;
-
-  // ---- single-sample conveniences (forward to the batch calls) ----------
-  std::vector<double> expectations_z(const CircuitExecutor& exec,
-                                     const std::vector<double>& params) const;
-  std::vector<double> probabilities(const CircuitExecutor& exec,
-                                    const std::vector<double>& params) const;
-
-  /// Builds the backend selected by `options`.
-  static std::unique_ptr<SimulationBackend> create(
-      const SimulationOptions& options);
-};
+/// One row of measure_batch, run from |0...0>.
+std::vector<double> measure_from_zero(const SimulationOptions& options,
+                                      const CircuitExecutor& exec,
+                                      const std::vector<double>& params,
+                                      Readout readout);
 
 /// Monte-Carlo estimate with its standard error, for consumers that need
 /// error bars (the 3-sigma equivalence tests, bench reports).
@@ -152,77 +136,16 @@ struct TrajectoryEstimate {
   std::vector<double> std_error;  // sqrt(sample variance / trajectories)
 };
 
-class TrajectoryBackend final : public SimulationBackend {
- public:
-  explicit TrajectoryBackend(const SimulationOptions& options);
-
-  BackendKind kind() const override { return BackendKind::kTrajectory; }
-  const char* name() const override { return "trajectory"; }
-
-  std::vector<std::vector<double>> expectations_z_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const override;
-  std::vector<std::vector<double>> probabilities_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const override;
-
-  /// Like expectations_z for one sample, but also returns per-qubit
-  /// standard errors computed from the per-trajectory spread.
-  TrajectoryEstimate expectations_z_with_stats(
-      const CircuitExecutor& exec, const std::vector<double>& params,
-      const Statevector* initial = nullptr) const;
-
- private:
-  SimulationOptions options_;
-};
-
-class ShotSamplingBackend final : public SimulationBackend {
- public:
-  explicit ShotSamplingBackend(const SimulationOptions& options);
-
-  BackendKind kind() const override { return BackendKind::kShotSampling; }
-  const char* name() const override { return "shots"; }
-
-  std::vector<std::vector<double>> expectations_z_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const override;
-  std::vector<std::vector<double>> probabilities_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const override;
-
- private:
-  SimulationOptions options_;
-};
-
-class StatevectorBackend final : public SimulationBackend {
- public:
-  StatevectorBackend() = default;
-
-  BackendKind kind() const override { return BackendKind::kStatevector; }
-  const char* name() const override { return "statevector"; }
-
-  std::vector<std::vector<double>> expectations_z_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const override;
-  std::vector<std::vector<double>> probabilities_batch(
-      const CircuitExecutor& exec,
-      const std::vector<std::vector<double>>& params_batch,
-      const std::vector<Statevector>& initials,
-      std::vector<Statevector>* finals = nullptr) const override;
-};
+/// The kTrajectory per-qubit <Z> estimate of one sample (the same mean
+/// measure_batch gives it, whatever options.backend says) with per-qubit
+/// standard errors from the per-trajectory spread.
+TrajectoryEstimate trajectory_estimate(const SimulationOptions& options,
+                                       const CircuitExecutor& exec,
+                                       const std::vector<double>& params,
+                                       const Statevector& initial);
 
 namespace backend_detail {
-/// Seed derivation shared by the stochastic backends, the per-layer
+/// Seed derivation shared by the stochastic regimes, the per-layer
 /// options and the serving layer's request streams: a SplitMix64-style
 /// avalanche over (seed, key, index, draw).
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t key,

@@ -8,10 +8,11 @@
 // density-matrix result with O(1/sqrt(M)) error while keeping statevector
 // cost, the standard trade-off for simulating noise at this scale.
 //
-// This header defines the channel. TrajectoryBackend (qsim/backend.h)
-// samples it through the executor's pre-bound plan; run_density
-// (qsim/density_matrix.h) applies it exactly and is the oracle that
-// qsim_backend_test.cpp pins the backend to at 3 sigma.
+// This header defines the channel. The trajectory regime of
+// qsim::measure_batch (qsim/backend.h) samples it through the executor's
+// pre-bound plan; run_density (qsim/density_matrix.h) applies it exactly
+// and is the oracle that qsim_backend_test.cpp pins the trajectory
+// estimate to at 3 sigma.
 #pragma once
 
 #include "common/rng.h"
@@ -27,7 +28,7 @@ struct NoiseModel {
 
 /// Uniformly random Pauli matrix (X, Y, or Z with probability 1/3 each) —
 /// the single draw that unravels the depolarizing channel in each
-/// trajectory of TrajectoryBackend (qsim/backend.h).
+/// trajectory of the trajectory regime (qsim/backend.h).
 const Mat2& random_pauli(sqvae::Rng& rng);
 
 }  // namespace sqvae::qsim

@@ -270,6 +270,38 @@ TEST(Flags, NumberValuesMustBeWholeFiniteNumbers) {
   EXPECT_EQ(flags.get_double("lr"), 1e-3);
 }
 
+TEST(Flags, IntBelowItsMinimumIsRejectedWithItsName) {
+  struct Row {
+    const char* arg;
+    const char* error;  // null when accepted
+  };
+  const Row rows[] = {
+      {"--batch=1", nullptr},
+      {"--batch=0", "--batch must be >= 1"},
+      {"--batch=-1", "--batch must be >= 1"},
+      {"--cache_mb=0", nullptr},
+      {"--cache_mb=-1", "--cache_mb must be >= 0"},
+      {"--seed=-9", nullptr},  // no minimum registered
+  };
+  for (const Row& row : rows) {
+    Flags flags;
+    flags.add_int("batch", 32, "a size", 1);
+    flags.add_int("cache_mb", 0, "a budget", 0);
+    flags.add_int("seed", 7, "any value");
+    const char* argv[] = {"prog", row.arg};
+    if (row.error == nullptr) {
+      EXPECT_NO_THROW(flags.parse(2, argv)) << row.arg;
+      continue;
+    }
+    try {
+      flags.parse(2, argv);
+      ADD_FAILURE() << row.arg << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), row.error);
+    }
+  }
+}
+
 TEST(Flags, DoubleDefaultsKeepEveryDigit) {
   Flags flags;
   flags.add_double("third", 1.0 / 3, "a third");

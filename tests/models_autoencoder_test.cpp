@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -398,13 +399,20 @@ TEST(ModelSpec, FlagsRejectValuesThatCannotBuildOrTrain) {
       {{"--backend=exact"},
        "unknown --backend=exact (statevector, trajectory, shots)"},
   };
+  // The CLIs' path: Flags::parse enforces each flag's registered minimum
+  // (--layers, --patches, --latent), then spec_from_flags the rest.
   auto parse = [](const std::vector<std::string>& args, ModelSpec* spec,
                   std::string* error) {
     Flags flags;
     add_model_flags(flags);
     std::vector<const char*> argv = {"prog"};
     for (const std::string& a : args) argv.push_back(a.c_str());
-    EXPECT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+    try {
+      EXPECT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+    } catch (const std::invalid_argument& e) {
+      *error = e.what();
+      return false;
+    }
     return spec_from_flags(flags, spec, error);
   };
   for (const Case& c : cases) {

@@ -22,7 +22,7 @@ QuantumLayerConfig angle_config(int qubits, int layers) {
   c.num_qubits = qubits;
   c.entangling_layers = layers;
   c.input = QuantumLayerConfig::InputMode::kAngle;
-  c.output = QuantumLayerConfig::OutputMode::kExpectationZ;
+  c.output = qsim::Readout::kExpectationZ;
   c.input_dim = qubits;
   return c;
 }
@@ -33,8 +33,8 @@ QuantumLayerConfig amplitude_config(int qubits, int layers, int input_dim,
   c.num_qubits = qubits;
   c.entangling_layers = layers;
   c.input = QuantumLayerConfig::InputMode::kAmplitude;
-  c.output = probs ? QuantumLayerConfig::OutputMode::kProbabilities
-                   : QuantumLayerConfig::OutputMode::kExpectationZ;
+  c.output = probs ? qsim::Readout::kProbabilities
+                   : qsim::Readout::kExpectationZ;
   c.input_dim = input_dim;
   return c;
 }
@@ -200,7 +200,7 @@ TEST(QuantumLayerGradients, AngleModeProbabilitiesDecoderPath) {
   c.num_qubits = 3;
   c.entangling_layers = 2;
   c.input = QuantumLayerConfig::InputMode::kAngle;
-  c.output = QuantumLayerConfig::OutputMode::kProbabilities;
+  c.output = qsim::Readout::kProbabilities;
   c.input_dim = 3;
   QuantumLayer layer(c, rng);
   Parameter input(random_matrix(2, 3, rng, -1, 1));
@@ -263,9 +263,9 @@ TEST(QuantumLayerGradients, ConstantInputLeavesWeightGradientsBitIdentical) {
 
 TEST(QuantumLayerGradients, EveryBackendGivesTheExactGradientBitwise) {
   // The backward walks the plan back from the noiseless final state the
-  // forward's backend call handed over. With the cotangent c fixed by the
-  // loss sum(y * c), weight and input gradients must not move by a bit
-  // between measurement regimes: a trajectory backend that handed back
+  // forward's measure_batch call handed over. With the cotangent c fixed
+  // by the loss sum(y * c), weight and input gradients must not move by a
+  // bit between measurement regimes: a trajectory regime that handed back
   // its unfused noiseless pass would differ in the last bits.
   qsim::SimulationOptions trajectory;
   trajectory.backend = qsim::BackendKind::kTrajectory;

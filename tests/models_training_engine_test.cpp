@@ -8,9 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.h"
@@ -105,10 +106,21 @@ TEST(TrainerEngine, SerialEpochStatsWeightedBySampleCount) {
 
 using ModelFactory = std::function<std::unique_ptr<Autoencoder>(Rng&)>;
 
+/// An SQ-VAE on 64 features (2 patches, 2 layers) measured under `sim`.
+ModelFactory sq_vae_under(const qsim::SimulationOptions& sim) {
+  return [sim](Rng& rng) -> std::unique_ptr<Autoencoder> {
+    ScalableQuantumConfig c;
+    c.input_dim = 64;
+    c.patches = 2;
+    c.entangling_layers = 2;
+    c.sim = sim;
+    return make_sq_vae(c, rng);
+  };
+}
+
 /// Trains a fresh model from `make` for 3 epochs at a team of `threads`;
 /// returns its parameters as checkpoint text and fills `history`.
 std::string train_sharded(const ModelFactory& make, const Matrix& data,
-                          const std::optional<qsim::SimulationOptions>& sim,
                           int threads, std::vector<EpochStats>* history) {
   Rng model_rng(32);
   auto model = make(model_rng);
@@ -118,11 +130,10 @@ std::string train_sharded(const ModelFactory& make, const Matrix& data,
   config.quantum_lr = 0.03;
   config.classical_lr = 0.01;
   config.num_threads = threads;
-  config.sim = sim;
   Trainer trainer(*model, config);
   Rng fit_rng(33);
   *history = trainer.fit(data, &data, fit_rng);
-  // The model now measures through `sim`; noisy models keep the team.
+  // Noisy models keep the team too.
   EXPECT_EQ(Trainer::resolve_threads(*model, config),
             thread_budget::kOpenMP ? threads : 1);
   return checkpoint_to_text(*model);
@@ -130,15 +141,14 @@ std::string train_sharded(const ModelFactory& make, const Matrix& data,
 
 /// Trains at teams of 1, 3 and 4 and expects the same parameters and
 /// epoch statistics, bit for bit.
-void expect_bit_identical_across_teams(
-    const ModelFactory& make, const Matrix& data,
-    const std::optional<qsim::SimulationOptions>& sim) {
+void expect_bit_identical_across_teams(const ModelFactory& make,
+                                       const Matrix& data) {
   std::vector<EpochStats> h1;
-  const std::string params1 = train_sharded(make, data, sim, 1, &h1);
+  const std::string params1 = train_sharded(make, data, 1, &h1);
   for (const int threads : {3, 4}) {
     SCOPED_TRACE(threads);
     std::vector<EpochStats> h;
-    EXPECT_EQ(train_sharded(make, data, sim, threads, &h), params1);
+    EXPECT_EQ(train_sharded(make, data, threads, &h), params1);
     ASSERT_EQ(h1.size(), h.size());
     for (std::size_t e = 0; e < h1.size(); ++e) {
       EXPECT_EQ(h1[e].train_loss, h[e].train_loss) << e;
@@ -154,19 +164,12 @@ TEST(TrainerEngine, ShardedBitIdenticalAcrossThreadCounts) {
   // and fixed-order reduction are all independent of the thread count, so
   // training is bit-identical at 1 and N threads — stochastic measurement
   // backends included, whose noise is keyed by each circuit's inputs.
+  // The trainer's divergence guard makes every pass a finite one too.
   const Matrix data = digits_matrix(24, 31);
-  const auto sq_vae = [](Rng& rng) {
-    ScalableQuantumConfig c;
-    c.input_dim = 64;
-    c.patches = 2;
-    c.entangling_layers = 2;
-    return make_sq_vae(c, rng);
-  };
-  const std::optional<qsim::SimulationOptions> sims[] = {
-      std::nullopt, trajectory_sim(), shot_sim()};
-  for (const auto& sim : sims) {
-    SCOPED_TRACE(sim ? static_cast<int>(sim->backend) : -1);
-    expect_bit_identical_across_teams(sq_vae, data, sim);
+  for (const qsim::SimulationOptions& sim :
+       {qsim::SimulationOptions{}, trajectory_sim(), shot_sim()}) {
+    SCOPED_TRACE(static_cast<int>(sim.backend));
+    expect_bit_identical_across_teams(sq_vae_under(sim), data);
   }
 
   // The reduction splits the flattened parameter list into fixed element
@@ -182,7 +185,7 @@ TEST(TrainerEngine, ShardedBitIdenticalAcrossThreadCounts) {
     c.entangling_layers = 1;
     return make_sq_ae(c, rng);
   };
-  expect_bit_identical_across_teams(sq_ae_1024, wide, std::nullopt);
+  expect_bit_identical_across_teams(sq_ae_1024, wide);
 }
 
 std::unique_ptr<Autoencoder> classical_vae(Rng& rng) {
@@ -193,9 +196,8 @@ std::unique_ptr<Autoencoder> classical_vae(Rng& rng) {
 // then train `cut` epochs, "kill", and resume to `total` with a freshly
 // constructed model; both checkpoints (parameters + Adam + RNG) and the
 // post-cut epoch statistics must match bit-for-bit.
-void expect_resume_equivalence(
-    bool data_parallel, const ModelFactory& make_model = classical_vae,
-    const std::optional<qsim::SimulationOptions>& sim = std::nullopt) {
+void expect_resume_equivalence(bool data_parallel,
+                               const ModelFactory& make_model = classical_vae) {
   const Matrix data = digits_matrix(32, 51);
   const std::string full_path = "/tmp/sqvae_engine_full.ckpt";
   const std::string part_path = "/tmp/sqvae_engine_part.ckpt";
@@ -208,7 +210,6 @@ void expect_resume_equivalence(
   base.lr_decay = 0.9;
   base.data_parallel = data_parallel;
   base.checkpoint_every = 1;
-  base.sim = sim;
 
   // Uninterrupted reference.
   std::vector<EpochStats> full_history;
@@ -274,14 +275,8 @@ TEST(TrainerEngine, ResumeEqualsUninterruptedSerial) {
 // Measurement noise is keyed by each circuit's inputs, so the restored
 // parameters alone replay it: resume stays bit-exact under noise.
 TEST(TrainerEngine, ResumeEqualsUninterruptedUnderTrajectoryNoise) {
-  const ModelFactory sq_vae = [](Rng& rng) -> std::unique_ptr<Autoencoder> {
-    ScalableQuantumConfig c;
-    c.input_dim = 64;
-    c.patches = 2;
-    c.entangling_layers = 2;
-    return make_sq_vae(c, rng);
-  };
-  expect_resume_equivalence(/*data_parallel=*/true, sq_vae, trajectory_sim());
+  expect_resume_equivalence(/*data_parallel=*/true,
+                            sq_vae_under(trajectory_sim()));
 }
 
 TEST(TrainerEngine, EarlyStoppingAndBestTracking) {
@@ -339,6 +334,59 @@ TEST(TrainerEngine, ResumeAfterEarlyStopStaysStopped) {
   }
   std::remove(path.c_str());
   std::remove((path + ".best").c_str());
+}
+
+// A diverged epoch stops the run after its callback and before best
+// tracking or the checkpoint write: the checkpoint and its .best keep the
+// last finite epoch's bytes.
+TEST(TrainerEngine, DivergedEpochThrowsAndKeepsTheLastFiniteCheckpoint) {
+  const Matrix data = digits_matrix(16, 91);
+  const std::string path = "/tmp/sqvae_engine_diverged.ckpt";
+  Rng model_rng(92);
+  ClassicalAe model(classical_config_64(4), model_rng);
+  TrainConfig config;
+  config.epochs = 4;
+  config.batch_size = 8;
+  config.classical_lr = 0.01;
+  config.checkpoint_path = path;
+  Trainer trainer(model, config);
+  Rng fit_rng(93);
+  std::string last, last_best;
+  std::size_t callbacks = 0;
+  try {
+    trainer.fit(data, &data, fit_rng, [&](const EpochStats& e) {
+      ++callbacks;
+      if (e.epoch != 1) return;
+      // Epoch 0's files are on disk; poison a parameter of epoch 1.
+      last = read_file(path);
+      last_best = read_file(path + ".best");
+      model.classical_parameters()[0]->value[0] =
+          std::numeric_limits<double>::quiet_NaN();
+    });
+    ADD_FAILURE() << "fit() returned after a diverged epoch";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("epoch 1 diverged"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(callbacks, 2u);
+  ASSERT_FALSE(last.empty());
+  EXPECT_EQ(read_file(path), last);
+  EXPECT_EQ(read_file(path + ".best"), last_best);
+  std::remove(path.c_str());
+  std::remove((path + ".best").c_str());
+}
+
+// A zero batch size would never finish an epoch; fit() refuses it.
+TEST(TrainerEngine, ZeroBatchSizeThrows) {
+  const Matrix data = digits_matrix(8, 95);
+  Rng model_rng(96);
+  ClassicalAe model(classical_config_64(4), model_rng);
+  TrainConfig config;
+  config.batch_size = 0;
+  Trainer trainer(model, config);
+  Rng fit_rng(97);
+  EXPECT_THROW(trainer.fit(data, nullptr, fit_rng), std::invalid_argument);
 }
 
 TEST(TrainerEngine, RestoreBestRewindsParameters) {

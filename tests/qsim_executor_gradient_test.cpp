@@ -28,19 +28,19 @@ constexpr double kTol = 1e-6;
 
 struct ModeCase {
   QuantumLayerConfig::InputMode input;
-  QuantumLayerConfig::OutputMode output;
+  qsim::Readout output;
   const char* name;
 };
 
 const ModeCase kModes[] = {
     {QuantumLayerConfig::InputMode::kAngle,
-     QuantumLayerConfig::OutputMode::kExpectationZ, "angle/expZ"},
+     qsim::Readout::kExpectationZ, "angle/expZ"},
     {QuantumLayerConfig::InputMode::kAngle,
-     QuantumLayerConfig::OutputMode::kProbabilities, "angle/probs"},
+     qsim::Readout::kProbabilities, "angle/probs"},
     {QuantumLayerConfig::InputMode::kAmplitude,
-     QuantumLayerConfig::OutputMode::kExpectationZ, "amplitude/expZ"},
+     qsim::Readout::kExpectationZ, "amplitude/expZ"},
     {QuantumLayerConfig::InputMode::kAmplitude,
-     QuantumLayerConfig::OutputMode::kProbabilities, "amplitude/probs"},
+     qsim::Readout::kProbabilities, "amplitude/probs"},
 };
 
 TEST(ExecutorGradientCrossCheck, AdjointBatchAgreesWithParameterShift) {
@@ -80,7 +80,7 @@ TEST(ExecutorGradientCrossCheck, AdjointBatchAgreesWithParameterShift) {
               : Statevector(qubits);
 
       std::vector<double> diag;
-      if (mode.output == QuantumLayerConfig::OutputMode::kExpectationZ) {
+      if (mode.output == qsim::Readout::kExpectationZ) {
         diag = qsim::weighted_z_diagonal(qubits, cotangent);
       } else {
         diag = qsim::probability_vjp_diagonal(cotangent);
@@ -145,7 +145,7 @@ TEST(ExecutorGradientCrossCheck, ExecutorValueMatchesMeasuredExpectation) {
             ? qsim::amplitude_embedding(row, 3)
             : Statevector(3);
     std::vector<double> diag =
-        mode.output == QuantumLayerConfig::OutputMode::kExpectationZ
+        mode.output == qsim::Readout::kExpectationZ
             ? qsim::weighted_z_diagonal(3, cotangent)
             : qsim::probability_vjp_diagonal(cotangent);
 
